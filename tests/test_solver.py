@@ -1,10 +1,15 @@
 import copy
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from setopt import (argmin_scalarized, build_problem, scalar_field, solve,
-                    strict_weak_efficient_brute, to_document, weak_efficient_brute)
+from setopt import (ConeSpec, DomainGrid, MapModel, SetValuedProblem, argmin_scalarized,
+                    build_problem, scalar_field, setrel, solve, solver,
+                    strict_weak_efficient_brute, strictly_lower_less, to_document,
+                    weak_efficient_brute)
 from setopt.sampling import random_problem
+from setopt.solver import domination_matrix
 
 from conftest import constant_problem, coords_1d
 
@@ -77,15 +82,119 @@ def test_scale_invariance_of_argmin(tradeoff):
                                scalar_field(tradeoff).values / 3.0, atol=1e-12)
 
 
-def test_thread_cap_matches_serial(monkeypatch, wedge):
-    from setopt.solver import domination_matrix
+def table_problem(clouds, cone):
+    """A table problem on the grid 0, 1, ... with the given clouds."""
+    pts = [[float(i)] for i in range(len(clouds))]
+    clouds = [np.atleast_2d(np.asarray(c, dtype=float)).tolist() for c in clouds]
+    map_model = MapModel(kind="table", params={"points": pts, "clouds": clouds})
+    return SetValuedProblem(grid=DomainGrid(np.array(pts)), map_model=map_model, cone=cone)
 
-    serial = domination_matrix(wedge).copy()
-    wedge._cache.pop("domination_matrix")
-    monkeypatch.setenv("SETOPT_THREADS", "4")
-    threaded = domination_matrix(wedge)
-    wedge._cache.pop("domination_matrix")
-    np.testing.assert_array_equal(serial, threaded)
+
+def interval_problem(rng):
+    """1D interval images under a one-generator cone of either sign."""
+    n = int(rng.integers(1, 40))
+    lo = np.round(rng.uniform(-5.0, 5.0, n), int(rng.integers(0, 4)))
+    hi = lo + rng.uniform(0.0, 3.0, n) * (rng.random(n) < 0.7)
+    w = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+    cone = ConeSpec(np.array([[w]]), np.array([np.sign(w)]))
+    return table_problem([[[a], [b]] for a, b in zip(lo, hi)], cone)
+
+
+def pairwise_oracle(problem):
+    clouds = [problem.map_model.cloud_at(x) for x in problem.grid.points]
+    return np.array([[strictly_lower_less(a, b, problem.cone) for b in clouds] for a in clouds])
+
+
+def counted_covers(monkeypatch):
+    """Replace setrel.covers with a wrapper; returns its list of calls."""
+    calls = []
+    real = setrel.covers
+
+    def covers(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(setrel, "covers", covers)
+    return calls
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_domination_matrix_matches_pairwise_oracle(seed, interval):
+    rng = np.random.default_rng(seed)
+    prob = interval_problem(rng) if interval else random_problem(rng)
+    np.testing.assert_array_equal(domination_matrix(prob), pairwise_oracle(prob))
+
+
+def test_fallback_decides_pairs_within_ulps_of_cone_tol(monkeypatch):
+    calls = counted_covers(monkeypatch)
+    # the y offset of b - a keeps the other generator's score far from cone_tol
+    for cone, dy in ((ConeSpec.orthant(1), None), (ConeSpec.orthant(2), 1.0),
+                     (ConeSpec(np.array([[1.0, 1.0], [1.0, -1.0]]), [1.0, 0.0]), 0.0)):
+        clouds = []
+        for bx in (0.3, 1.0, 3.7, 12.5, 1234.5, -7.1):
+            b = [bx] if dy is None else [bx, 0.6]
+            clouds.append([b])
+            # the x coordinate of b - a steps through cone_tol ulp by ulp of b
+            for steps in range(-6, 7):
+                a = list(b)
+                a[0] = bx - cone.cone_tol + steps * np.spacing(bx)
+                if dy is not None:
+                    a[1] -= dy
+                clouds.append([a])
+        prob = table_problem(clouds, cone)
+        before = len(calls)
+        d = domination_matrix(prob)
+        assert len(calls) > before
+        np.testing.assert_array_equal(d, pairwise_oracle(prob))
+
+
+def test_fallback_decides_identical_large_clouds(monkeypatch):
+    calls = counted_covers(monkeypatch)
+    rng = np.random.default_rng(11)
+    cones = (ConeSpec.orthant(1), ConeSpec.orthant(2),
+             ConeSpec(np.array([[1.0, 1.0], [1.0, -1.0]]), [1.0, 0.0]))
+    for cone in cones:
+        for scale in (1e3, 1e4, 1e5):
+            cloud = rng.uniform(-scale, scale, (5, cone.dim_image))
+            # the rounding band of clouds this large exceeds cone_tol, so
+            # every pair of copies lands between the two passes
+            prob = table_problem([cloud, cloud.copy(), cloud[::-1], cloud + 1.0], cone)
+            before = len(calls)
+            d = domination_matrix(prob)
+            assert len(calls) > before
+            np.testing.assert_array_equal(d, pairwise_oracle(prob))
+
+
+def test_overflowing_scores_match_oracle():
+    # b - a is finite and inside int P, but the scores of a and b overflow
+    cone = ConeSpec(np.array([[1.0, 1.0], [1.0, -1.0]]), [1.0, 0.0])
+    prob = table_problem([[[1e308 - 1e300, 1e308]], [[1e308, 1e308]]], cone)
+    with np.errstate(over="ignore"):
+        d = domination_matrix(prob)
+    assert d[0, 1]
+    np.testing.assert_array_equal(d, pairwise_oracle(prob))
+
+
+def test_scan_ignores_cloud_padding():
+    # under the negative orthant a far padding point would witness everything
+    cone = ConeSpec(-np.eye(3), -np.ones(3))
+    prob = table_problem([[[0.0, 0.0, 0.0]],
+                          [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]],
+                          [[5.0, 5.0, 5.0], [3.0, 1.0, 2.0], [-1.0, -1.0, -1.0]]], cone)
+    np.testing.assert_array_equal(domination_matrix(prob), pairwise_oracle(prob))
+
+
+def test_scan_chunks_match_unchunked(monkeypatch):
+    rng = np.random.default_rng(5)
+    probs = [p for p in (random_problem(rng) for _ in range(30)) if p.cone.dim_image == 3]
+    assert probs
+    full = [domination_matrix(p) for p in probs]
+    for budget in (1, 5000):
+        monkeypatch.setattr(solver, "SCAN_BYTES", budget)
+        for prob, expected in zip(probs, full):
+            prob._cache.pop("domination_matrix")
+            np.testing.assert_array_equal(domination_matrix(prob), expected)
 
 
 def test_random_problems_inclusions():

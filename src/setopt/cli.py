@@ -16,17 +16,16 @@ import sys
 import numpy as np
 
 from . import fixtures as fixture_catalog
-from .asymptotics import (check_asymptotic_gap, default_lambda_schedule,
-                          default_t_values, horizon_outer_limit)
+from .asymptotics import check_asymptotic_gap, default_lambda_schedule, horizon_outer_limit
 from .cone import gerstewitz, gerstewitz_bisect
 from .diagnostics import (check_coercivity, check_colevel_compact_at,
                           check_regular_global_inf, check_transfer_closed,
                           existence_report)
 from .errors import InternalConsistencyError, SetOptError
-from .problem import build_problem
+from .problem import build_problem, jsonable
 from .sampling import random_cone, random_point, random_problem
 from .scalarizer import colevel_points, scalar_field
-from .solver import argmin_scalarized, solve, strict_weak_efficient_brute
+from .solver import argmin_scalarized, scalar_table, solve, strict_weak_efficient_brute
 
 
 class CLIUsageError(SetOptError, ValueError):
@@ -38,24 +37,8 @@ class _Parser(argparse.ArgumentParser):
         raise CLIUsageError(message)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
-def _emit(obj, stream=None) -> None:
-    print(json.dumps(_jsonable(obj), sort_keys=True, indent=2), file=stream or sys.stdout)
+def _emit(obj) -> None:
+    print(json.dumps(jsonable(obj), sort_keys=True, indent=2))
 
 
 def _load_problem(path: str):
@@ -74,13 +57,6 @@ def _parse_vector(text: str) -> np.ndarray:
         return np.asarray([float(part) for part in text.split(",")], dtype=float)
     except ValueError as exc:
         raise CLIUsageError(f"cannot parse vector {text!r}") from exc
-
-
-def _point_list(problem, indices) -> list:
-    pts = sorted(problem.grid.points[i].tolist() for i in indices)
-    if problem.grid.dim_domain == 1:
-        return [p[0] for p in pts]
-    return pts
 
 
 def _write_scalar_csv(problem, path: str) -> None:
@@ -109,23 +85,18 @@ def _cmd_scalarize(args) -> int:
     field = scalar_field(problem)
     if args.csv:
         _write_scalar_csv(problem, args.csv)
-    table = [{"x": x.tolist() if problem.grid.dim_domain > 1 else x[0], "value": v}
-             for x, v in zip(problem.grid.points, field.values)]
-    _emit({"inf_value": field.inf_value, "values": table})
+    _emit({"inf_value": field.inf_value, "values": scalar_table(problem, field.values)})
     return 0
 
 
 def _cmd_colevel(args) -> int:
     problem = _load_problem(args.problem)
-    pts = colevel_points(problem, args.lam)
-    out = pts.tolist()
-    _emit({"lambda": args.lam, "points": sorted(out)})
+    _emit({"lambda": args.lam, "points": sorted(colevel_points(problem, args.lam).tolist())})
     return 0
 
 
 def _cmd_asymptotic(args) -> int:
     problem = _load_problem(args.problem)
-    ts = default_t_values(args.t_max, args.t_count)
     directions = [_parse_vector(d) for d in args.direction] if args.direction else None
     gap = check_asymptotic_gap(problem, directions=directions,
                                t_max=args.t_max, t_count=args.t_count)
@@ -135,12 +106,11 @@ def _cmd_asymptotic(args) -> int:
         out["horizon"] = horizon_outer_limit(problem, schedule,
                                              radius_threshold=args.threshold).to_dict()
     if args.csv and directions:
-        est = [e for e in gap.estimates]
         lines = ["direction,t,value"]
-        for e in est:
+        for e in gap.estimates:
             label = ";".join(repr(c) for c in e.direction.tolist())
-            for t, v in zip(ts, e.liminf_trace):
-                lines.append(f"{label},{t!r},{float(v)!r}")
+            for t, v in zip(e.t_values.tolist(), e.liminf_trace.tolist()):
+                lines.append(f"{label},{t!r},{v!r}")
         with open(args.csv, "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines) + "\n")
     _emit(out)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .asymptotics import GapReport, check_asymptotic_gap
 from .errors import InternalConsistencyError, ProblemValidationError
-from .problem import SetValuedProblem, evaluate
+from .problem import SetValuedProblem, jsonable
 from .scalarizer import colevel, colevel_at_set, scalar_field, scalar_value_at
 from .solver import strict_weak_efficient_brute
 
@@ -46,25 +46,9 @@ class Verdict:
         return {
             "status": self.status,
             "witness": self.witness,
-            "evidence": _jsonable(self.evidence),
+            "evidence": jsonable(self.evidence),
             "caveats": list(self.caveats),
         }
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
 
 
 def _margin(problem: SetValuedProblem) -> float:
@@ -350,8 +334,7 @@ def check_colevel_compact_at(problem: SetValuedProblem, x0) -> Verdict:
     """Boundedness of the colevel set at height F(x0), with the cross-check
     that a bounded outcome forces x0 efficient or the problem coercive."""
     idx0 = problem.grid.locate(x0)
-    cloud = evaluate(problem, problem.grid.points[idx0])
-    members = colevel_at_set(problem, cloud)
+    members = colevel_at_set(problem, problem.clouds[idx0])
     if problem.grid.box is None:
         return Verdict(status="inconclusive",
                        evidence={"limiting_resource": "no box metadata on the grid"})
@@ -416,7 +399,7 @@ class HypothesisReport:
             "coercive_theorem": self.coercive.to_dict(),
             "noncoercive_theorem": self.noncoercive.to_dict(),
             "strict_solutions_nonempty": self.strict_solutions_nonempty,
-            "strict_solution_sample": _jsonable(self.strict_solution_sample),
+            "strict_solution_sample": jsonable(self.strict_solution_sample),
             "notes": list(self.notes),
         }
 

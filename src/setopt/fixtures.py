@@ -35,7 +35,7 @@ import numpy as np
 
 from .problem import SetValuedProblem, build_problem
 
-_TOLERANCES = {"cone_tol": 1e-12, "scal_tol": 1e-9, "tie_tol": 1e-9}
+_TOLERANCES = {"cone_tol": 1e-12, "tie_tol": 1e-9}
 _FLAGS = {"K_q_set": True}
 
 

@@ -14,6 +14,9 @@ come in five kinds:
 
 Every kind except `table` is analytic: it can be evaluated at arbitrary
 domain points, which the asymptotic and refinement machinery relies on.
+
+Building a problem evaluates the map once per grid point into the store
+that every grid-side layer reads instead of evaluating again.
 """
 
 from __future__ import annotations
@@ -37,15 +40,14 @@ SCHEMA_VERSION = "1"
 @dataclass(frozen=True)
 class Tolerances:
     cone_tol: float = 1e-12
-    scal_tol: float = 1e-9
     tie_tol: float = 1e-9
 
     def __post_init__(self):
-        if min(self.cone_tol, self.scal_tol, self.tie_tol) <= 0.0:
+        if min(self.cone_tol, self.tie_tol) <= 0.0:
             raise ProblemValidationError("tolerances must be positive")
 
     def to_dict(self) -> dict:
-        return {"cone_tol": self.cone_tol, "scal_tol": self.scal_tol, "tie_tol": self.tie_tol}
+        return {"cone_tol": self.cone_tol, "tie_tol": self.tie_tol}
 
 
 @dataclass(frozen=True)
@@ -142,7 +144,23 @@ class DomainGrid:
 # scalar function registry for interval maps
 # ---------------------------------------------------------------------------
 
-_FN_TYPES = {"const", "linear", "quadratic", "inv_linear"}
+# the coefficients each function type reads; every type takes an optional offset
+_FN_TYPES = {"const": ("c",), "linear": ("a", "b"), "quadratic": ("a", "b", "c"),
+             "inv_linear": ("a", "b")}
+
+
+def _require(spec, key: str, path: str):
+    """spec[key], or an error naming the document path of the missing entry."""
+    if not isinstance(spec, dict) or key not in spec:
+        raise ProblemValidationError(f"{path}.{key} is missing")
+    return spec[key]
+
+
+def _check_number(spec, key: str, path: str) -> None:
+    try:
+        float(_require(spec, key, path))
+    except (TypeError, ValueError):
+        raise ProblemValidationError(f"{path}.{key} must be a number, got {spec[key]!r}") from None
 
 
 def _eval_fn(fn: dict, x: float) -> float:
@@ -162,10 +180,11 @@ def _eval_fn(fn: dict, x: float) -> float:
     raise ProblemValidationError(f"unknown function type {kind!r}")
 
 
-def _validate_fn(fn: dict) -> dict:
+def _validate_fn(fn, path: str) -> None:
     if not isinstance(fn, dict) or fn.get("type") not in _FN_TYPES:
-        raise ProblemValidationError(f"function spec needs a type in {sorted(_FN_TYPES)}")
-    return fn
+        raise ProblemValidationError(f"{path} needs a type in {sorted(_FN_TYPES)}")
+    for key in _FN_TYPES[fn["type"]] + (("offset",) if "offset" in fn else ()):
+        _check_number(fn, key, path)
 
 
 def _bound_ok(x: float, piece: dict) -> bool:
@@ -193,12 +212,14 @@ def _eval_pieces(pieces: list[dict], x: float) -> float:
     raise ProblemValidationError(f"no piece covers x={x}")
 
 
-def _validate_pieces(pieces) -> list[dict]:
+def _validate_pieces(pieces, path: str) -> None:
     if not isinstance(pieces, list) or not pieces:
-        raise ProblemValidationError("piecewise function needs a nonempty piece list")
-    for piece in pieces:
-        _validate_fn(piece.get("fn", {}))
-    return pieces
+        raise ProblemValidationError(f"{path} needs a nonempty piece list")
+    for i, piece in enumerate(pieces):
+        _validate_fn(_require(piece, "fn", f"{path}[{i}]"), f"{path}[{i}].fn")
+        for key in ("lo", "hi"):
+            if piece.get(key) is not None:
+                _check_number(piece, key, f"{path}[{i}]")
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +227,7 @@ def _validate_pieces(pieces) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 _MAP_KINDS = {"table", "constant", "interval", "ball", "piecewise"}
+_PARAMS = "map.parameters"  # document path of a map model's params
 _CENTER_FAMILIES = {"abs_components", "identity", "fixed"}
 
 
@@ -266,11 +288,11 @@ class MapModel:
             raise ProblemValidationError("table map needs matching points and clouds")
 
     def _validate_constant(self):
-        PointCloudSet(np.asarray(self.params["cloud"], dtype=float))
+        PointCloudSet(np.asarray(_require(self.params, "cloud", _PARAMS), dtype=float))
 
     def _validate_interval(self):
-        _validate_pieces(self.params.get("lower"))
-        _validate_pieces(self.params.get("upper"))
+        _validate_pieces(self.params.get("lower"), f"{_PARAMS}.lower")
+        _validate_pieces(self.params.get("upper"), f"{_PARAMS}.upper")
 
     def _validate_ball(self):
         radius = float(self.params.get("radius", 0.0))
@@ -282,6 +304,8 @@ class MapModel:
             raise ProblemValidationError(
                 f"ball center family must be one of {sorted(_CENTER_FAMILIES)}"
             )
+        if center["family"] == "fixed":
+            _require(center, "value", f"{_PARAMS}.center")
 
     def _validate_piecewise(self):
         regions = self.params.get("regions")
@@ -360,20 +384,19 @@ class MapModel:
         return notes
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "parameters": _plain(self.params)}
+        return {"kind": self.kind, "parameters": jsonable(self.params)}
 
 
-def _plain(obj):
+def jsonable(obj):
+    """obj with numpy arrays and scalars replaced by plain JSON values."""
     if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
+        return {k: jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
+        return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return _plain(obj.tolist())
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
-        return int(obj)
+        return jsonable(obj.tolist())
+    if isinstance(obj, np.generic):
+        return obj.item()
     return obj
 
 
@@ -381,8 +404,10 @@ def _plain(obj):
 class SetValuedProblem:
     """A full instance: grid, map model, cone, tolerances, asserted flags.
 
-    Instances are immutable by convention after construction; the private
-    cache holds derived artifacts (scalar field, domination matrix).
+    The store: `clouds` in grid order, and their rows stacked in
+    `cloud_points`, cloud i from row `cloud_starts[i]`.  Instances are
+    immutable by convention after construction; the private cache holds
+    derived artifacts (generator scores, scalar field, domination matrix).
     """
 
     grid: DomainGrid
@@ -391,10 +416,13 @@ class SetValuedProblem:
     tolerances: Tolerances = field(default_factory=Tolerances)
     flags: Flags = field(default_factory=Flags)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    clouds: list[PointCloudSet] = field(init=False, repr=False, compare=False)
+    cloud_points: np.ndarray = field(init=False, repr=False, compare=False)
+    cloud_starts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # eager validation: every grid point must produce a valid cloud of
-        # the cone's image dimension
+        # every grid point must produce a valid cloud of the cone's image dimension
+        self.clouds = []
         for x in self.grid.points:
             cloud = self.map_model.cloud_at(x)
             if cloud.dim != self.cone.dim_image:
@@ -402,12 +430,25 @@ class SetValuedProblem:
                     f"map image dimension {cloud.dim} does not match cone "
                     f"dimension {self.cone.dim_image}"
                 )
+            self.clouds.append(cloud)
+        sizes = np.array([len(c) for c in self.clouds])
+        self.cloud_points = np.concatenate([c.points for c in self.clouds])
+        self.cloud_starts = np.cumsum(sizes) - sizes
+
+    def cloud_scores(self) -> np.ndarray:
+        """(R, k) scores <w_j, b> of the stored points, computed on first use.
+
+        Not at construction, since scores can overflow where points do not.
+        """
+        scores = self._cache.get("cloud_scores")
+        if scores is None:
+            scores = self._cache["cloud_scores"] = self.cloud_points @ self.cone.dual_generators.T
+        return scores
 
 
 def evaluate(problem: SetValuedProblem, x) -> PointCloudSet:
-    """The cloud for a grid point x; deterministic across runs."""
-    idx = problem.grid.locate(x)
-    return problem.map_model.cloud_at(problem.grid.points[idx])
+    """The stored cloud of a grid point x."""
+    return problem.clouds[problem.grid.locate(x)]
 
 
 def evaluate_at(problem: SetValuedProblem, x) -> PointCloudSet:
@@ -425,10 +466,10 @@ def build_problem(doc: dict) -> SetValuedProblem:
     if version != SCHEMA_VERSION:
         raise ProblemValidationError(f"unrecognized schema_version {version!r}")
 
+    # a scal_tol key, which no computation ever read, is accepted and ignored
     tol_doc = doc.get("tolerances", {})
     tolerances = Tolerances(
         cone_tol=float(tol_doc.get("cone_tol", 1e-12)),
-        scal_tol=float(tol_doc.get("scal_tol", 1e-9)),
         tie_tol=float(tol_doc.get("tie_tol", 1e-9)),
     )
 
@@ -445,11 +486,9 @@ def build_problem(doc: dict) -> SetValuedProblem:
         pts = np.asarray(domain["points"], dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
-        if pts.size == 0:
-            raise ProblemValidationError("empty grid")
         grid = DomainGrid(pts)
     else:
-        grid = DomainGrid.from_box(domain["box"], domain.get("resolution"))
+        grid = DomainGrid.from_box(domain["box"], _require(domain, "resolution", "domain"))
 
     map_doc = doc.get("map", {})
     map_model = MapModel(kind=map_doc.get("kind", ""), params=map_doc.get("parameters", {}))

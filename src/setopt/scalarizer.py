@@ -5,6 +5,9 @@ Gerstewitz value over the cloud F(x); the minimum is attained because
 clouds are finite.  Colevel sets are computed along two independent
 routes, via the order relation and via the scalar field, and the two
 must agree.
+
+On the grid both routes reduce the problem's stored clouds per cloud;
+off the grid (analytic kinds only) the map is evaluated afresh.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ __all__ = [
     "colevel_at_set",
 ]
 
-
 @dataclass(frozen=True)
 class ScalarField:
     """Scalarization values over the grid and their infimum."""
@@ -37,19 +39,14 @@ class ScalarField:
     values: np.ndarray
     inf_value: float
 
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
 
 def scalar_field(problem: SetValuedProblem) -> ScalarField:
     """The cached scalar field of a problem."""
     cached = problem._cache.get("scalar_field")
     if cached is not None:
         return cached
-    values = np.empty(len(problem.grid))
-    for i, x in enumerate(problem.grid.points):
-        cloud = problem.map_model.cloud_at(x)
-        values[i] = float(np.min(_cone.gerstewitz_many(problem.cone, cloud.points)))
+    values = np.minimum.reduceat(_cone.gerstewitz_many(problem.cone, problem.cloud_points),
+                                 problem.cloud_starts)
     field = ScalarField(values=values, inf_value=float(values.min()))
     problem._cache["scalar_field"] = field
     return field
@@ -76,20 +73,22 @@ def colevel(problem: SetValuedProblem, lam: float) -> np.ndarray:
     """Sorted grid indices of the colevel set at height lam * q.
 
     Route one follows the definition: x survives iff the singleton
-    {lam * q} does not strictly dominate F(x).  Route two thresholds the
-    scalar field at lam.  Route two is returned; any disagreement beyond
-    the tie tolerance band raises, since it signals misconfigured
-    tolerances rather than bad input.
+    {lam * q} does not strictly dominate F(x), i.e. unless every b in F(x)
+    has <w, b> - <w, lam * q> > cone_tol for every dual generator w; it
+    tests the relation generator by generator, never the value of the
+    scalarization.  Route two thresholds the scalar field at lam.  Route
+    two is returned; any disagreement beyond the tie tolerance band
+    raises, since it signals misconfigured tolerances rather than bad
+    input.
     """
     field = scalar_field(problem)
     tie = problem.tolerances.tie_tol
     by_field = field.values <= lam + tie
 
-    probe = PointCloudSet((lam * problem.cone.order_unit)[None, :])
-    by_relation = np.empty(len(problem.grid), dtype=bool)
-    for i, x in enumerate(problem.grid.points):
-        cloud = problem.map_model.cloud_at(x)
-        by_relation[i] = not strictly_lower_less(probe, cloud, problem.cone)
+    cone = problem.cone
+    probe = (lam * cone.order_unit) @ cone.dual_generators.T
+    above = (problem.cloud_scores() - probe > cone.cone_tol).all(axis=1)
+    by_relation = ~np.logical_and.reduceat(above, problem.cloud_starts)
 
     disagree = np.flatnonzero(by_field != by_relation)
     for i in disagree:
@@ -108,7 +107,5 @@ def colevel_points(problem: SetValuedProblem, lam: float) -> np.ndarray:
 
 def colevel_at_set(problem: SetValuedProblem, cloud: PointCloudSet) -> np.ndarray:
     """Sorted grid indices x where the given set does not strictly dominate F(x)."""
-    keep = np.empty(len(problem.grid), dtype=bool)
-    for i, x in enumerate(problem.grid.points):
-        keep[i] = not strictly_lower_less(cloud, problem.map_model.cloud_at(x), problem.cone)
-    return np.flatnonzero(keep)
+    return np.flatnonzero([not strictly_lower_less(cloud, image, problem.cone)
+                           for image in problem.clouds])

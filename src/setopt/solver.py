@@ -3,7 +3,9 @@
 Everything here rests on the strict domination matrix D, with D[i, j]
 true iff F(x_i) <l F(x_j), i.e. every b in F(x_j) has some a in F(x_i)
 with <w, b - a> > cone_tol for every dual generator w.  Both efficient
-sets are read off D.
+sets are read off D.  D is built from the problem's stored clouds and,
+with one or two generators, its stored generator scores; the map is
+not evaluated again.
 
 For cones with one or two generators D is built by a staircase kernel
 (Kung, Luccio & Preparata, J. ACM 1975): the generator scores of all R
@@ -58,28 +60,29 @@ def domination_matrix(problem: SetValuedProblem) -> np.ndarray:
     cached = problem._cache.get("domination_matrix")
     if cached is not None:
         return cached
-    clouds = [problem.map_model.cloud_at(x).points for x in problem.grid.points]
     if len(problem.cone.dual_generators) <= 2:
-        d = _staircase_matrix(clouds, problem.cone)
+        d = _staircase_matrix(problem)
     else:
-        d = _scan_matrix(clouds, problem.cone)
+        d = _scan_matrix([c.points for c in problem.clouds], problem.cone)
     problem._cache["domination_matrix"] = d
     return d
 
 
-def _staircase_matrix(clouds: list[np.ndarray], cone: ConeSpec) -> np.ndarray:
+def _staircase_matrix(problem: SetValuedProblem) -> np.ndarray:
+    cone = problem.cone
     w = cone.dual_generators  # (k, m), k <= 2
     tol = cone.cone_tol
+    clouds = [c.points for c in problem.clouds]
     n = len(clouds)
     sizes = np.array([len(c) for c in clouds])
-    pts = np.concatenate(clouds)
     owner = np.repeat(np.arange(n), sizes)
-    mags = np.maximum.reduceat(np.abs(pts) @ np.abs(w).T, np.cumsum(sizes) - sizes)  # (N, k)
+    mags = np.maximum.reduceat(np.abs(problem.cloud_points) @ np.abs(w).T,
+                               problem.cloud_starts)  # (N, k)
     if not np.isfinite(mags).all():
         # overflowing scores would turn the thresholds into nan; the scan
         # does the oracle's arithmetic and stays exact
         return _scan_matrix(clouds, cone)
-    scores = pts @ w.T  # (R, k)
+    scores = problem.cloud_scores()  # (R, k)
     if len(w) == 1:
         scores = np.repeat(scores, 2, axis=1)
         mags = np.repeat(mags, 2, axis=1)
@@ -185,29 +188,32 @@ class SolveReport:
     argmin_strictly_smaller: bool
 
     def to_dict(self, problem: SetValuedProblem) -> dict:
-        pts = problem.grid.points
-
-        def point_list(indices: np.ndarray) -> list:
-            chosen = sorted(pts[i].tolist() for i in indices)
-            if problem.grid.dim_domain == 1:
-                return [p[0] for p in chosen]
-            return chosen
-
-        table = [
-            {"x": pts[i].tolist() if problem.grid.dim_domain > 1 else pts[i, 0],
-             "value": float(v)}
-            for i, v in enumerate(self.scalar_values)
-        ]
         return {
             "inf_value": self.inf_value,
-            "argmin": point_list(self.argmin_indices),
-            "strict_weak_efficient": point_list(self.strict_indices),
-            "weak_efficient": point_list(self.weak_indices),
+            "argmin": _point_list(problem, self.argmin_indices),
+            "strict_weak_efficient": _point_list(problem, self.strict_indices),
+            "weak_efficient": _point_list(problem, self.weak_indices),
             "inclusion_argmin_in_strict": self.inclusion_argmin_in_strict,
             "inclusion_strict_in_weak": self.inclusion_strict_in_weak,
             "argmin_strictly_smaller": self.argmin_strictly_smaller,
-            "scalar_table": table,
+            "scalar_table": scalar_table(problem, self.scalar_values),
         }
+
+
+def _reported(problem: SetValuedProblem, points: np.ndarray) -> list:
+    # reports give a point of a 1-D domain as its bare coordinate
+    return (points if problem.grid.dim_domain > 1 else points[:, 0]).tolist()
+
+
+def _point_list(problem: SetValuedProblem, indices) -> list:
+    """The grid points at indices, sorted, in report form."""
+    return sorted(_reported(problem, problem.grid.points[indices]))
+
+
+def scalar_table(problem: SetValuedProblem, values: np.ndarray) -> list:
+    """One {"x", "value"} row per grid point, in grid order."""
+    return [{"x": x, "value": v}
+            for x, v in zip(_reported(problem, problem.grid.points), values.tolist())]
 
 
 def solve(problem: SetValuedProblem) -> SolveReport:

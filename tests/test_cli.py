@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from setopt import build_problem, to_document
+from setopt import build_problem, fixtures, to_document
 from setopt.cli import main
 
 
@@ -120,3 +120,64 @@ def test_error_exit_codes(fixture_dir, capsys, tmp_path):
 
     code, _, err = _run(capsys, ["oracle", "exhaustive"])
     assert code == 1 and "oracle mode" in err
+
+
+def test_asymptotic_csv_holds_plain_numbers(fixture_dir, capsys, tmp_path):
+    csv_path = tmp_path / "trace.csv"
+    code, _, _ = _run(capsys, ["asymptotic", str(fixture_dir / "decay_tail.json"),
+                               "--direction", "1", "--t-count", "8", "--csv", str(csv_path)])
+    assert code == 0
+    rows = csv_path.read_text().splitlines()[1:]
+    assert len(rows) == 8
+    for row in rows:
+        assert [float(cell) for cell in row.split(",")][0] == 1.0
+
+
+def test_scal_tol_is_accepted_and_ignored(fixture_dir, capsys, tmp_path):
+    path = fixture_dir / "tradeoff_segment.json"
+    doc = json.loads(path.read_text())
+    assert "scal_tol" not in doc["tolerances"]
+    doc["tolerances"]["scal_tol"] = 1e-9
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(json.dumps(doc))
+    code, with_key, _ = _run(capsys, ["solve", str(legacy)])
+    assert code == 0
+    assert with_key == _run(capsys, ["solve", str(path)])[1]
+
+
+def _constant_without_cloud():
+    doc = fixtures.document("ramp_gap")
+    doc["map"] = {"kind": "constant", "parameters": {}}
+    return doc
+
+
+def _fixed_centre_without_value():
+    doc = fixtures.document("shifted_disc")
+    doc["map"]["parameters"]["center"] = {"family": "fixed"}
+    return doc
+
+
+def _text_coefficient():
+    doc = fixtures.document("decay_tail")
+    doc["map"]["parameters"]["lower"][0]["fn"]["c"] = "minus one"
+    return doc
+
+
+def _box_without_resolution():
+    doc = fixtures.document("kinked_interval")
+    del doc["domain"]["resolution"]
+    return doc
+
+
+@pytest.mark.parametrize("path, make", [
+    ("map.parameters.cloud", _constant_without_cloud),
+    ("map.parameters.center.value", _fixed_centre_without_value),
+    ("map.parameters.lower[0].fn.c", _text_coefficient),
+    ("domain.resolution", _box_without_resolution),
+])
+def test_malformed_document_exits_1_naming_its_path(path, make, capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(make()))
+    code, out, err = _run(capsys, ["solve", str(bad)])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and path in err

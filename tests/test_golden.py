@@ -1,7 +1,10 @@
-"""`setopt solve` on every shipped fixture, diffed byte for byte.
+"""CLI output on every shipped fixture, diffed byte for byte.
 
-The files under golden/ were recorded with the pairwise domination scan,
-so any verdict the domination kernel changes shows up here.
+The files under golden/ were recorded before the evaluated-cloud store
+replaced per-layer map evaluation (the `solve` files before the
+staircase domination kernel), so any output either change moves shows
+up here.  Each colevel case uses one height strictly between the
+fixture's scalar infimum and its maximum over the grid.
 """
 
 import pathlib
@@ -13,6 +16,24 @@ from setopt.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
+LAMBDAS = {
+    "decay_tail": "0.5",
+    "hyperbola_escape": "0.0005",
+    "kinked_interval": "1.234",
+    "parabola_interval": "1.234",
+    "ramp_gap": "0.8",
+    "shifted_disc": "-2.5",
+    "tradeoff_segment": "2.5",
+    "wedge_strip": "-0.5",
+}
+
+SUBCOMMANDS = {
+    "scalarize": lambda name: [],
+    "colevel": lambda name: ["--lambda", LAMBDAS[name]],
+    "asymptotic": lambda name: ["--horizon"],
+    "check": lambda name: ["--all", "--transfer", "--rgi", "--coercivity", "--gap"],
+}
+
 
 @pytest.fixture(scope="module")
 def fixture_dir(tmp_path_factory):
@@ -21,8 +42,24 @@ def fixture_dir(tmp_path_factory):
     return out
 
 
+def _stdout(argv, capsys) -> bytes:
+    assert main(argv) == 0
+    return capsys.readouterr().out.encode()
+
+
 @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
 def test_solve_matches_golden(name, fixture_dir, capsys):
-    assert main(["solve", str(fixture_dir / f"{name}.json")]) == 0
-    out = capsys.readouterr().out
-    assert out.encode() == (GOLDEN / f"{name}.solve.json").read_bytes()
+    out = _stdout(["solve", str(fixture_dir / f"{name}.json")], capsys)
+    assert out == (GOLDEN / f"{name}.solve.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+def test_subcommand_matches_golden(name, command, fixture_dir, capsys):
+    argv = [command, str(fixture_dir / f"{name}.json"), *SUBCOMMANDS[command](name)]
+    assert _stdout(argv, capsys) == (GOLDEN / f"{name}.{command}.json").read_bytes()
+
+
+def test_oracle_matches_golden(capsys):
+    out = _stdout(["oracle", "random", "--seed", "7", "--count", "200"], capsys)
+    assert out == (GOLDEN / "oracle.random.json").read_bytes()

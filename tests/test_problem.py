@@ -3,8 +3,9 @@ import copy
 import numpy as np
 import pytest
 
-from setopt import (DomainGrid, ProblemValidationError, build_problem, evaluate,
-                    evaluate_at, to_document)
+from setopt import (DomainGrid, MapModel, ProblemValidationError, build_problem, colevel,
+                    colevel_at_set, evaluate, evaluate_at, global_inf, scalar_field, solve,
+                    to_document)
 from setopt import fixtures as fixture_catalog
 
 from conftest import constant_problem
@@ -142,3 +143,44 @@ def test_fixture_documents_round_trip():
         doc = fixture_catalog.document(name)
         rebuilt = to_document(build_problem(doc))
         assert rebuilt == doc, f"round trip changed {name}"
+
+
+def counted_cloud_at(monkeypatch):
+    """Count MapModel.cloud_at calls; returns the list of evaluated points."""
+    calls = []
+    real = MapModel.cloud_at
+
+    def cloud_at(self, x):
+        calls.append(x)
+        return real(self, x)
+
+    monkeypatch.setattr(MapModel, "cloud_at", cloud_at)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(fixture_catalog.FIXTURES))
+def test_each_grid_cloud_is_evaluated_once(name, monkeypatch):
+    calls = counted_cloud_at(monkeypatch)
+    prob = fixture_catalog.build(name)
+    assert len(calls) == len(prob.grid)
+    np.testing.assert_array_equal(np.array(calls), prob.grid.points)
+
+    solve(prob)
+    field = scalar_field(prob)
+    colevel(prob, global_inf(prob) + 0.5 * (field.values.max() - global_inf(prob)))
+    for x in prob.grid.points:
+        evaluate(prob, x)
+    colevel_at_set(prob, evaluate(prob, prob.grid.points[0]))
+    assert len(calls) == len(prob.grid)
+
+
+def test_store_is_the_evaluated_clouds(shifted72):
+    starts = shifted72.cloud_starts
+    assert len(starts) == len(shifted72.clouds) == len(shifted72.grid)
+    for i, x in enumerate(shifted72.grid.points):
+        cloud = shifted72.clouds[i]
+        assert evaluate(shifted72, x) is cloud
+        np.testing.assert_array_equal(shifted72.map_model.cloud_at(x).points, cloud.points)
+        np.testing.assert_array_equal(
+            shifted72.cloud_points[starts[i]: starts[i] + len(cloud)], cloud.points)
+    assert starts[-1] + len(shifted72.clouds[-1]) == len(shifted72.cloud_points)

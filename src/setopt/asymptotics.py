@@ -24,6 +24,7 @@ DEFAULT_T_MAX = 1e6
 DEFAULT_T_COUNT = 40
 DEFAULT_RADIUS_THRESHOLD = 100.0
 ANGULAR_CLUSTER_TOL = 1e-3
+FAR_T_COUNT = 25  # radii per compass ray in far colevel samples
 
 
 def default_t_values(t_max: float = DEFAULT_T_MAX, count: int = DEFAULT_T_COUNT) -> np.ndarray:
@@ -98,8 +99,7 @@ def compass_directions(n: int) -> np.ndarray:
     return np.asarray(dirs)
 
 
-def asymptotic_cone_estimate(points, radius_threshold: float,
-                             angular_tol: float = ANGULAR_CLUSTER_TOL) -> np.ndarray:
+def asymptotic_cone_estimate(points, radius_threshold: float) -> np.ndarray:
     """Unit directions of far points, clustered with an angular tolerance.
 
     Empty input yields an empty direction set (the asymptotic cone of the
@@ -119,7 +119,7 @@ def asymptotic_cone_estimate(points, radius_threshold: float,
     order = np.lexsort(dirs.T[::-1])
     reps: list[np.ndarray] = []
     for d in dirs[order]:
-        if all(np.arccos(np.clip(d @ r, -1.0, 1.0)) > angular_tol for r in reps):
+        if all(np.arccos(np.clip(d @ r, -1.0, 1.0)) > ANGULAR_CLUSTER_TOL for r in reps):
             reps.append(d)
     reps.sort(key=lambda r: tuple(r))
     return np.asarray(reps)
@@ -201,7 +201,6 @@ class GapReport:
 
 
 def check_asymptotic_gap(problem: SetValuedProblem, directions=None,
-                         margin: float | None = None,
                          t_max: float = DEFAULT_T_MAX,
                          t_count: int = DEFAULT_T_COUNT) -> GapReport:
     """Whether every sampled direction stays strictly above the infimum.
@@ -215,8 +214,7 @@ def check_asymptotic_gap(problem: SetValuedProblem, directions=None,
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     if len(directions) == 0:
         raise ProblemValidationError("directions must be nonempty")
-    if margin is None:
-        margin = 10.0 * problem.tolerances.tie_tol
+    margin = 10.0 * problem.tolerances.tie_tol
     m = global_inf(problem)
     ts = default_t_values(t_max, t_count)
     estimates = []
@@ -235,9 +233,7 @@ def check_asymptotic_gap(problem: SetValuedProblem, directions=None,
 
 
 def far_colevel_sample(problem: SetValuedProblem, lam: float,
-                       radius_threshold: float = DEFAULT_RADIUS_THRESHOLD,
-                       t_max: float = DEFAULT_T_MAX,
-                       directions=None, t_count: int = 25) -> np.ndarray:
+                       radius_threshold: float = DEFAULT_RADIUS_THRESHOLD) -> np.ndarray:
     """Sample of the colevel set at radius >= threshold.
 
     Analytic map kinds are probed along compass rays beyond the grid;
@@ -248,10 +244,9 @@ def far_colevel_sample(problem: SetValuedProblem, lam: float,
            for i in np.flatnonzero(scalar_field(problem).values <= lam + tie)
            if np.linalg.norm(problem.grid.points[i]) >= radius_threshold]
     if problem.map_model.is_analytic:
-        if directions is None:
-            directions = compass_directions(problem.grid.dim_domain)
-        ts = np.geomspace(radius_threshold, max(t_max, radius_threshold * 10.0), t_count)
-        for u in np.atleast_2d(np.asarray(directions, dtype=float)):
+        ts = np.geomspace(radius_threshold, max(DEFAULT_T_MAX, radius_threshold * 10.0),
+                          FAR_T_COUNT)
+        for u in compass_directions(problem.grid.dim_domain):
             u = u / np.linalg.norm(u)
             for t in ts:
                 x = t * u
@@ -291,8 +286,7 @@ def default_lambda_schedule(problem: SetValuedProblem, count: int = 12) -> np.nd
 
 
 def horizon_outer_limit(problem: SetValuedProblem, lam_schedule,
-                        radius_threshold: float = DEFAULT_RADIUS_THRESHOLD,
-                        t_max: float = DEFAULT_T_MAX) -> HorizonReport:
+                        radius_threshold: float = DEFAULT_RADIUS_THRESHOLD) -> HorizonReport:
     """Directional limit set of colevel sets along a ladder of heights.
 
     The union of asymptotic cone estimates over the tail of the ladder.
@@ -311,7 +305,7 @@ def horizon_outer_limit(problem: SetValuedProblem, lam_schedule,
     tail = lam[len(lam) // 2:]
     collected: list[np.ndarray] = []
     for value in tail:
-        sample = far_colevel_sample(problem, float(value), radius_threshold, t_max)
+        sample = far_colevel_sample(problem, float(value), radius_threshold)
         est = asymptotic_cone_estimate(sample, radius_threshold)
         if len(est):
             collected.append(est)

@@ -81,13 +81,6 @@ class ConeSpec:
             "q": self.order_unit.tolist(),
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict, cone_tol: float = DEFAULT_CONE_TOL) -> "ConeSpec":
-        if "dual_generators" not in doc or "q" not in doc:
-            raise ProblemValidationError("cone section needs dual_generators and q")
-        return cls(np.asarray(doc["dual_generators"], dtype=float),
-                   np.asarray(doc["q"], dtype=float), cone_tol)
-
 
 def _as_vector(cone: ConeSpec, y) -> np.ndarray:
     y = np.asarray(y, dtype=float).reshape(-1)

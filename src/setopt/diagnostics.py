@@ -11,7 +11,10 @@ point whose own value stays high) from one-grid-step artifacts around an
 attained minimizer.  On a fixed grid the two look identical, so for
 analytic map kinds the checkers refine locally below the grid step:
 artifacts dissolve under refinement, genuine witnesses persist with
-values at the infimum arbitrarily close to the witness.
+values at the infimum arbitrarily close to the witness.  The unrestricted
+and the norm-ball checks refine around the same candidates; the probes
+read `scalar_value_at`, which keeps each off-grid value, so a probe point
+costs one map evaluation per problem however often it is revisited.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotics import GapReport, check_asymptotic_gap
+from .asymptotics import GapReport, check_asymptotic_gap, compass_directions
 from .errors import InternalConsistencyError, ProblemValidationError
 from .problem import SetValuedProblem, jsonable
 from .scalarizer import colevel, colevel_at_set, scalar_field, scalar_value_at
@@ -29,6 +32,8 @@ from .solver import strict_weak_efficient_brute
 
 MARGIN_FACTOR = 10.0
 _REFINE_LEVELS = (0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625)
+_COERCIVITY_LADDER = 16  # halvings of lam_probe - inf probed for a bounded colevel set
+_MAX_RESTRICTIONS = 6    # norm balls 1..6 get their own regular-global-inf check
 
 
 @dataclass(frozen=True)
@@ -96,22 +101,12 @@ def _probe_ring(x0: np.ndarray, r: float) -> np.ndarray:
     if n == 1:
         offsets = np.concatenate([np.linspace(r / 8.0, r, 8), -np.linspace(r / 8.0, r, 8)])
         return x0[None, :] + offsets[:, None]
-    if n == 2:
-        angles = np.arange(16) * (2.0 * np.pi / 16)
-        ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        return np.vstack([x0 + r * ring, x0 + 0.5 * r * ring])
-    rng_dirs = []
-    for axis in range(n):
-        for sign in (1.0, -1.0):
-            d = np.zeros(n)
-            d[axis] = sign
-            rng_dirs.append(d)
-    ring = np.asarray(rng_dirs)
+    ring = compass_directions(n)[: 16 if n == 2 else 2 * n]
     return np.vstack([x0 + r * ring, x0 + 0.5 * r * ring])
 
 
-def _refined_local_minima(problem: SetValuedProblem, x0: np.ndarray, step: float,
-                          radii: np.ndarray, restrict_norm: float | None) -> list[float]:
+def _refined_local_minima(problem: SetValuedProblem, x0: np.ndarray, radii: np.ndarray,
+                          restrict_norm: float | None) -> list[float]:
     """Minimum scalar value near x0 at each sub-step radius, smallest last."""
     minima = []
     for r in radii:
@@ -123,7 +118,7 @@ def _refined_local_minima(problem: SetValuedProblem, x0: np.ndarray, step: float
     return minima
 
 
-def check_regular_global_inf(problem: SetValuedProblem, radii=None,
+def check_regular_global_inf(problem: SetValuedProblem,
                              restrict_norm: float | None = None) -> Verdict:
     """Whether points above the infimum admit neighborhoods bounded away from it.
 
@@ -141,14 +136,8 @@ def check_regular_global_inf(problem: SetValuedProblem, radii=None,
     m = float(values.min())
     margin = _margin(problem)
     step = float(problem.grid.step_estimate().max())
-
-    if radii is not None:
-        radii = np.asarray(radii, dtype=float)
-        grid_radius = float(radii.max())
-        refine_radii = radii[radii < step]
-    else:
-        grid_radius = 1.01 * step
-        refine_radii = step * np.asarray(_REFINE_LEVELS)
+    grid_radius = 1.01 * step
+    refine_radii = step * np.asarray(_REFINE_LEVELS)
 
     candidates = np.flatnonzero(values > m + margin)
     witnesses = []
@@ -160,10 +149,10 @@ def check_regular_global_inf(problem: SetValuedProblem, radii=None,
             continue
         if float(values[near].min()) > m + margin:
             continue  # coarse neighborhood already bounded away from the infimum
-        if not problem.map_model.is_analytic or len(refine_radii) == 0:
+        if not problem.map_model.is_analytic:
             unresolved.append(pts[c])
             continue
-        minima = _refined_local_minima(problem, pts[c], step, refine_radii, restrict_norm)
+        minima = _refined_local_minima(problem, pts[c], refine_radii, restrict_norm)
         if not minima:
             unresolved.append(pts[c])
             continue
@@ -215,28 +204,26 @@ def check_transfer_closed(problem: SetValuedProblem, lam_samples=None) -> Verdic
     if lam_samples is None:
         lam_samples = m + (span / 2.0) * np.power(0.5, np.arange(20))
     lam_samples = np.asarray(lam_samples, dtype=float)
+    if lam_samples.size == 0:
+        raise ProblemValidationError("lambda samples must be nonempty")
     if np.any(lam_samples <= m):
         raise ProblemValidationError("lambda samples must be strictly above the infimum")
 
+    # Colevel sets are nested in lam (values <= lam + tie_tol, and rounding
+    # is monotone), so their intersection is the set at the smallest lam;
+    # dilation is monotone, so the intersection of the dilations is the
+    # dilation of that one set.  Every lam still runs the route cross-check.
+    members = [colevel(problem, float(lam)) for lam in lam_samples][int(np.argmin(lam_samples))]
     steps = problem.grid.step_estimate()
     pts = problem.grid.points
-    plain = np.ones(len(pts), dtype=bool)
-    dilated = np.ones(len(pts), dtype=bool)
-    for lam in lam_samples:
-        members = colevel(problem, float(lam))
-        in_set = np.zeros(len(pts), dtype=bool)
-        in_set[members] = True
-        plain &= in_set
-        # one-step Chebyshev dilation as the grid closure surrogate
-        close = np.zeros(len(pts), dtype=bool)
-        member_pts = pts[members]
-        for i in range(len(pts)):
-            if in_set[i]:
-                close[i] = True
-                continue
-            gaps = np.abs(member_pts - pts[i]) / steps
-            close[i] = bool(np.any(np.max(gaps, axis=1) <= 1.01))
-        dilated &= close
+    plain = np.zeros(len(pts), dtype=bool)
+    plain[members] = True
+    # one-step Chebyshev dilation as the grid closure surrogate
+    dilated = plain.copy()
+    member_pts = pts[members]
+    for i in np.flatnonzero(~plain):
+        gaps = np.abs(member_pts - pts[i]) / steps
+        dilated[i] = bool(np.any(np.max(gaps, axis=1) <= 1.01))
 
     collar = np.flatnonzero(dilated & ~plain)
     evidence = {
@@ -258,7 +245,7 @@ def check_transfer_closed(problem: SetValuedProblem, lam_samples=None) -> Verdic
         if not problem.map_model.is_analytic:
             unresolved.append(pts[i])
             continue
-        minima = _refined_local_minima(problem, pts[i], step, refine_radii, None)
+        minima = _refined_local_minima(problem, pts[i], refine_radii, None)
         if minima and minima[-1] <= lam_min + margin:
             evidence["local_minima_trace"] = minima
             evidence["witness_lambda"] = float(
@@ -285,8 +272,7 @@ def _strictly_inside(problem: SetValuedProblem, indices: np.ndarray) -> bool:
     return bool(np.all(pts - lo >= steps - eps) and np.all(hi - pts >= steps - eps))
 
 
-def check_coercivity(problem: SetValuedProblem, lam_probe: float | None = None,
-                     ladder_depth: int = 16) -> Verdict:
+def check_coercivity(problem: SetValuedProblem, lam_probe: float | None = None) -> Verdict:
     """Whether some colevel set above the infimum stays inside the box.
 
     Relative compactness is implemented as boundedness, and boundedness on
@@ -306,7 +292,7 @@ def check_coercivity(problem: SetValuedProblem, lam_probe: float | None = None,
                        evidence={"limiting_resource": "no box metadata on the grid"})
 
     touched = []
-    for j in range(ladder_depth):
+    for j in range(_COERCIVITY_LADDER):
         lam = m + (lam_probe - m) * (0.5 ** j)
         members = colevel(problem, float(lam))
         if _strictly_inside(problem, members):
@@ -404,7 +390,7 @@ class HypothesisReport:
         }
 
 
-def existence_report(problem: SetValuedProblem, max_restrictions: int = 6) -> HypothesisReport:
+def existence_report(problem: SetValuedProblem) -> HypothesisReport:
     """Run all hypothesis checkers and declare which existence route applies.
 
     Whenever a route is declared applicable the brute-force strict
@@ -417,7 +403,7 @@ def existence_report(problem: SetValuedProblem, max_restrictions: int = 6) -> Hy
     gap = check_asymptotic_gap(problem)
 
     max_norm = float(problem.grid.norms().max())
-    ns = [n for n in range(1, int(math.ceil(max_norm)) + 1)][:max_restrictions]
+    ns = [n for n in range(1, int(math.ceil(max_norm)) + 1)][:_MAX_RESTRICTIONS]
     restricted = {}
     for n in ns:
         if len(_restrict_indices(problem, float(n))) >= 2:

@@ -21,6 +21,7 @@ that every grid-side layer reads instead of evaluating again.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,11 +157,28 @@ def _require(spec, key: str, path: str):
     return spec[key]
 
 
-def _check_number(spec, key: str, path: str) -> None:
+def _mapping(value, path: str) -> dict:
+    """value itself if it is a JSON object, else an error naming its document path."""
+    if not isinstance(value, dict):
+        raise ProblemValidationError(f"{path} must be an object, got {reprlib.repr(value)}")
+    return value
+
+
+def _numeric(value, path: str, scalar: bool = False):
+    """value as a float (scalar) or a float array, or an error naming its document path.
+
+    Every number a document supplies is converted here, so a malformed one
+    fails validation instead of escaping as a numpy or builtin error.
+    """
     try:
-        float(_require(spec, key, path))
+        return float(value) if scalar else np.asarray(value, dtype=float)
     except (TypeError, ValueError):
-        raise ProblemValidationError(f"{path}.{key} must be a number, got {spec[key]!r}") from None
+        pass
+    raise ProblemValidationError(f"{path} must be numeric, got {reprlib.repr(value)}")
+
+
+def _number(spec, key: str, path: str) -> float:
+    return _numeric(_require(spec, key, path), f"{path}.{key}", scalar=True)
 
 
 def _eval_fn(fn: dict, x: float) -> float:
@@ -184,7 +202,7 @@ def _validate_fn(fn, path: str) -> None:
     if not isinstance(fn, dict) or fn.get("type") not in _FN_TYPES:
         raise ProblemValidationError(f"{path} needs a type in {sorted(_FN_TYPES)}")
     for key in _FN_TYPES[fn["type"]] + (("offset",) if "offset" in fn else ()):
-        _check_number(fn, key, path)
+        _number(fn, key, path)
 
 
 def _bound_ok(x: float, piece: dict) -> bool:
@@ -217,9 +235,13 @@ def _validate_pieces(pieces, path: str) -> None:
         raise ProblemValidationError(f"{path} needs a nonempty piece list")
     for i, piece in enumerate(pieces):
         _validate_fn(_require(piece, "fn", f"{path}[{i}]"), f"{path}[{i}].fn")
-        for key in ("lo", "hi"):
-            if piece.get(key) is not None:
-                _check_number(piece, key, f"{path}[{i}]")
+        _validate_bounds(piece, f"{path}[{i}]")
+
+
+def _validate_bounds(spec: dict, path: str) -> None:
+    for key in ("lo", "hi"):
+        if spec.get(key) is not None:
+            _number(spec, key, path)
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +251,18 @@ def _validate_pieces(pieces, path: str) -> None:
 _MAP_KINDS = {"table", "constant", "interval", "ball", "piecewise"}
 _PARAMS = "map.parameters"  # document path of a map model's params
 _CENTER_FAMILIES = {"abs_components", "identity", "fixed"}
+_CLOUD_SPEC_KEYS = {"fixed": ("points",), "affine_point": ("matrix", "offset")}
 
 
 def _circle(samples: int) -> np.ndarray:
     # fixed angular lattice starting at angle 0; even counts include pi
     angles = np.arange(samples) * (2.0 * np.pi / samples)
     return np.stack([np.cos(angles), np.sin(angles)], axis=1)
+
+
+def _ball_center(value, path: str) -> None:
+    if _numeric(value, path).shape != (2,):
+        raise ProblemValidationError(f"{path} must be a 2D point, got {reprlib.repr(value)}")
 
 
 def _match_point(x: np.ndarray, target, atol: float = REGION_TOL) -> bool:
@@ -255,6 +283,19 @@ def _region_matches(region: dict, x: np.ndarray) -> bool:
     raise ProblemValidationError(f"unknown region type {kind!r}")
 
 
+def _validate_region(region, path: str) -> None:
+    region = _mapping(region, path)
+    where = _mapping(region.get("where", {}), f"{path}.where")
+    if where.get("type") == "eq":
+        _numeric(_require(where, "point", f"{path}.where"), f"{path}.where.point")
+    elif where.get("type") == "interval":
+        _validate_bounds(where, f"{path}.where")
+    spec = _mapping(_require(region, "cloud", path), f"{path}.cloud")
+    kind = spec.get("type", "fixed")
+    for key in _CLOUD_SPEC_KEYS.get(kind, ()) if isinstance(kind, str) else ():
+        _numeric(_require(spec, key, f"{path}.cloud"), f"{path}.cloud.{key}")
+
+
 def _cloud_from_spec(spec: dict, x: np.ndarray) -> PointCloudSet:
     kind = spec.get("type", "fixed")
     if kind == "fixed":
@@ -273,44 +314,59 @@ class MapModel:
 
     kind: str
     params: dict
+    # table kind only: its points and clouds as float arrays, converted once
+    _table: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in _MAP_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in _MAP_KINDS:
             raise ProblemValidationError(f"unknown map kind {self.kind!r}")
+        _mapping(self.params, _PARAMS)
         getattr(self, f"_validate_{self.kind}")()
 
     # -- validation per kind ------------------------------------------------
 
     def _validate_table(self):
-        pts = np.atleast_2d(np.asarray(self.params.get("points", []), dtype=float))
+        pts = np.atleast_2d(_numeric(self.params.get("points", []), f"{_PARAMS}.points"))
         clouds = self.params.get("clouds", [])
-        if pts.size == 0 or len(clouds) != len(pts):
+        if pts.size == 0 or not isinstance(clouds, list) or len(clouds) != len(pts):
             raise ProblemValidationError("table map needs matching points and clouds")
+        clouds = [_numeric(c, f"{_PARAMS}.clouds[{i}]") for i, c in enumerate(clouds)]
+        object.__setattr__(self, "_table", (pts, clouds))
 
     def _validate_constant(self):
-        PointCloudSet(np.asarray(_require(self.params, "cloud", _PARAMS), dtype=float))
+        PointCloudSet(_numeric(_require(self.params, "cloud", _PARAMS), f"{_PARAMS}.cloud"))
 
     def _validate_interval(self):
         _validate_pieces(self.params.get("lower"), f"{_PARAMS}.lower")
         _validate_pieces(self.params.get("upper"), f"{_PARAMS}.upper")
 
     def _validate_ball(self):
-        radius = float(self.params.get("radius", 0.0))
-        samples = int(self.params.get("samples", 0))
-        if radius <= 0.0 or samples < 3:
+        radius = _numeric(self.params.get("radius", 0.0), f"{_PARAMS}.radius", scalar=True)
+        samples = _numeric(self.params.get("samples", 0), f"{_PARAMS}.samples", scalar=True)
+        if not (radius > 0.0 and 3 <= samples < np.inf):
             raise ProblemValidationError("ball map needs radius > 0 and samples >= 3")
-        center = self.params.get("center", {})
+        path = f"{_PARAMS}.center"
+        center = _mapping(self.params.get("center", {}), path)
         if center.get("family") not in _CENTER_FAMILIES:
             raise ProblemValidationError(
                 f"ball center family must be one of {sorted(_CENTER_FAMILIES)}"
             )
         if center["family"] == "fixed":
-            _require(center, "value", f"{_PARAMS}.center")
+            _ball_center(_require(center, "value", path), f"{path}.value")
+        overrides = center.get("overrides", [])
+        if not isinstance(overrides, list):
+            raise ProblemValidationError(f"{path}.overrides must be a list")
+        for i, override in enumerate(overrides):
+            entry = f"{path}.overrides[{i}]"
+            _numeric(_require(override, "at", entry), f"{entry}.at")
+            _ball_center(_require(override, "value", entry), f"{entry}.value")
 
     def _validate_piecewise(self):
         regions = self.params.get("regions")
         if not isinstance(regions, list) or not regions:
             raise ProblemValidationError("piecewise map needs a nonempty region list")
+        for i, region in enumerate(regions):
+            _validate_region(region, f"{_PARAMS}.regions[{i}]")
 
     # -- evaluation ----------------------------------------------------------
 
@@ -324,13 +380,12 @@ class MapModel:
         return getattr(self, f"_cloud_{self.kind}")(x)
 
     def _cloud_table(self, x: np.ndarray) -> PointCloudSet:
-        pts = np.atleast_2d(np.asarray(self.params["points"], dtype=float))
+        pts, clouds = self._table
         dists = np.max(np.abs(pts - x), axis=1)
         idx = int(np.argmin(dists))
         if dists[idx] > REGION_TOL:
             raise ProblemValidationError(f"table map has no entry for x={x.tolist()}")
-        return PointCloudSet(np.asarray(self.params["clouds"][idx], dtype=float),
-                             sampling_note=self.params.get("sampling_note"))
+        return PointCloudSet(clouds[idx], sampling_note=self.params.get("sampling_note"))
 
     def _cloud_constant(self, x: np.ndarray) -> PointCloudSet:
         return PointCloudSet(np.asarray(self.params["cloud"], dtype=float),
@@ -363,7 +418,7 @@ class MapModel:
                 center = np.asarray(center_spec["value"], dtype=float)
         if center.shape[0] != 2:
             raise ProblemValidationError("ball maps produce 2D image clouds")
-        ring = center + float(self.params["radius"]) * _circle(int(self.params["samples"]))
+        ring = center + float(self.params["radius"]) * _circle(int(float(self.params["samples"])))
         return PointCloudSet(ring)
 
     def _cloud_piecewise(self, x: np.ndarray) -> PointCloudSet:
@@ -407,7 +462,8 @@ class SetValuedProblem:
     The store: `clouds` in grid order, and their rows stacked in
     `cloud_points`, cloud i from row `cloud_starts[i]`.  Instances are
     immutable by convention after construction; the private cache holds
-    derived artifacts (generator scores, scalar field, domination matrix).
+    derived artifacts (generator scores, scalar field, domination matrix,
+    off-grid scalar values).
     """
 
     grid: DomainGrid
@@ -467,33 +523,38 @@ def build_problem(doc: dict) -> SetValuedProblem:
         raise ProblemValidationError(f"unrecognized schema_version {version!r}")
 
     # a scal_tol key, which no computation ever read, is accepted and ignored
-    tol_doc = doc.get("tolerances", {})
+    tol_doc = _mapping(doc.get("tolerances", {}), "tolerances")
     tolerances = Tolerances(
-        cone_tol=float(tol_doc.get("cone_tol", 1e-12)),
-        tie_tol=float(tol_doc.get("tie_tol", 1e-9)),
+        cone_tol=_numeric(tol_doc.get("cone_tol", 1e-12), "tolerances.cone_tol", scalar=True),
+        tie_tol=_numeric(tol_doc.get("tie_tol", 1e-9), "tolerances.tie_tol", scalar=True),
     )
 
     if "cone" not in doc:
         raise ProblemValidationError("problem document needs a cone section")
-    cone = ConeSpec.from_dict(doc["cone"], cone_tol=tolerances.cone_tol)
+    cone_doc = _mapping(doc["cone"], "cone")
+    generators = _require(cone_doc, "dual_generators", "cone")
+    cone = ConeSpec(_numeric(generators, "cone.dual_generators"),
+                    _numeric(_require(cone_doc, "q", "cone"), "cone.q"), tolerances.cone_tol)
 
-    domain = doc.get("domain", {})
+    domain = _mapping(doc.get("domain", {}), "domain")
     has_points = "points" in domain
     has_box = "box" in domain
     if has_points == has_box:
         raise ProblemValidationError("domain needs exactly one of points or box")
     if has_points:
-        pts = np.asarray(domain["points"], dtype=float)
+        pts = _numeric(domain["points"], "domain.points")
         if pts.ndim == 1:
             pts = pts[:, None]
         grid = DomainGrid(pts)
     else:
-        grid = DomainGrid.from_box(domain["box"], _require(domain, "resolution", "domain"))
+        resolution = _require(domain, "resolution", "domain")
+        grid = DomainGrid.from_box(_numeric(domain["box"], "domain.box"),
+                                   _numeric(resolution, "domain.resolution"))
 
-    map_doc = doc.get("map", {})
+    map_doc = _mapping(doc.get("map", {}), "map")
     map_model = MapModel(kind=map_doc.get("kind", ""), params=map_doc.get("parameters", {}))
 
-    flags_doc = doc.get("flags", {})
+    flags_doc = _mapping(doc.get("flags", {}), "flags")
     flags = Flags(k_q_set=bool(flags_doc.get("K_q_set", True)))
 
     return SetValuedProblem(grid=grid, map_model=map_model, cone=cone,

@@ -6,8 +6,10 @@ clouds are finite.  Colevel sets are computed along two independent
 routes, via the order relation and via the scalar field, and the two
 must agree.
 
-On the grid both routes reduce the problem's stored clouds per cloud;
-off the grid (analytic kinds only) the map is evaluated afresh.
+On the grid both routes reduce the problem's stored clouds per cloud.
+Off the grid (analytic kinds only) the map is evaluated at most once per
+point: `scalar_value_at` keeps the value, a float and never the cloud,
+of every point it has evaluated, keyed by the point's float64 bytes.
 """
 
 from __future__ import annotations
@@ -59,9 +61,17 @@ def scalar_value(problem: SetValuedProblem, x) -> float:
 
 
 def scalar_value_at(problem: SetValuedProblem, x) -> float:
-    """Scalarization at an arbitrary domain point; analytic kinds only."""
-    cloud = evaluate_at(problem, x)
-    return float(np.min(_cone.gerstewitz_many(problem.cone, cloud.points)))
+    """Scalarization at an arbitrary domain point; analytic kinds only.
+
+    The value is kept per point, so each point is evaluated once per problem.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1)
+    memo = problem._cache.setdefault("off_grid_values", {})
+    key = x.tobytes()
+    if key not in memo:
+        cloud = evaluate_at(problem, x)
+        memo[key] = float(np.min(_cone.gerstewitz_many(problem.cone, cloud.points)))
+    return memo[key]
 
 
 def global_inf(problem: SetValuedProblem) -> float:

@@ -169,11 +169,46 @@ def _box_without_resolution():
     return doc
 
 
+def _edited(name, *keys, value):
+    """A maker for the fixture document `name` with doc[k0]...[kn] set to value."""
+    def make():
+        doc = fixtures.document(name)
+        entry = doc
+        for key in keys[:-1]:
+            entry = entry[key]
+        entry[keys[-1]] = value
+        return doc
+    make.__name__ = f"_{name}"
+    return make
+
+
 @pytest.mark.parametrize("path, make", [
     ("map.parameters.cloud", _constant_without_cloud),
     ("map.parameters.center.value", _fixed_centre_without_value),
     ("map.parameters.lower[0].fn.c", _text_coefficient),
     ("domain.resolution", _box_without_resolution),
+    ("map.parameters.cloud", _edited(
+        "ramp_gap", "map", value={"kind": "constant", "parameters": {"cloud": [["abc", 1]]}})),
+    ("map.parameters.center", _edited("shifted_disc", "map", "parameters", "center", value=5)),
+    ("map.parameters.radius", _edited("shifted_disc", "map", "parameters", "radius", value="abc")),
+    ("map.parameters.center.value", _edited(
+        "shifted_disc", "map", "parameters", "center", value={"family": "fixed", "value": 5})),
+    ("map.parameters.center.overrides[0].value", _edited(
+        "shifted_disc", "map", "parameters", "center", "overrides", value=[{"at": [1.0, 0.0]}])),
+    ("map.parameters.regions[1].cloud.points", _edited(
+        "tradeoff_segment", "map", "parameters", "regions", 1, "cloud", value={"type": "fixed"})),
+    ("map.parameters.regions[0].where.point", _edited(
+        "wedge_strip", "map", "parameters", "regions", 0, "where", value={"type": "eq"})),
+    ("map.parameters.regions[0]", _edited("wedge_strip", "map", "parameters", "regions", 0,
+                                          value=5)),
+    ("map.parameters.clouds[0]", _edited("tradeoff_segment", "map", value={
+        "kind": "table",
+        "parameters": {"points": [[0.0], [1.0]], "clouds": [[["z", 0]], [[1.0, 0.0]]]}})),
+    ("cone.dual_generators", _edited("tradeoff_segment", "cone", "dual_generators",
+                                     value=[["one", 0.0], [0.0, 1.0]])),
+    ("domain.points", _edited("tradeoff_segment", "domain", value={"points": [[0.0], ["half"]]})),
+    ("tolerances.cone_tol", _edited("tradeoff_segment", "tolerances", "cone_tol", value="x")),
+    ("cone must be an object", _edited("tradeoff_segment", "cone", value=5)),
 ])
 def test_malformed_document_exits_1_naming_its_path(path, make, capsys, tmp_path):
     bad = tmp_path / "bad.json"

@@ -5,6 +5,7 @@ from setopt import (ConeSpec, DomainGrid, MapModel,
                     ProblemValidationError, SetValuedProblem, check_asymptotic_gap,
                     check_attainment, check_coercivity, check_colevel_compact_at,
                     check_regular_global_inf, check_transfer_closed, existence_report)
+from setopt import colevel
 from setopt import fixtures as fixture_catalog
 
 from conftest import constant_problem
@@ -71,6 +72,46 @@ def test_transfer_closed_verdicts(kinked, parabola):
 def test_transfer_closed_rejects_bad_samples(kinked):
     with pytest.raises(ProblemValidationError):
         check_transfer_closed(kinked, [-1.0])
+    with pytest.raises(ProblemValidationError, match="nonempty"):
+        check_transfer_closed(kinked, [])
+
+
+def _per_lambda_intersection(problem, lam_samples):
+    """(plain, collar) points, intersecting each colevel set and its dilation per lambda."""
+    steps = problem.grid.step_estimate()
+    pts = problem.grid.points
+    plain = np.ones(len(pts), dtype=bool)
+    dilated = np.ones(len(pts), dtype=bool)
+    for lam in lam_samples:
+        members = colevel(problem, float(lam))
+        in_set = np.zeros(len(pts), dtype=bool)
+        in_set[members] = True
+        plain &= in_set
+        close = np.zeros(len(pts), dtype=bool)
+        member_pts = pts[members]
+        for i in range(len(pts)):
+            if in_set[i]:
+                close[i] = True
+                continue
+            gaps = np.abs(member_pts - pts[i]) / steps
+            close[i] = bool(np.any(np.max(gaps, axis=1) <= 1.01))
+        dilated &= close
+    return pts[plain], pts[dilated & ~plain]
+
+
+@pytest.mark.parametrize("name", sorted(fixture_catalog.FIXTURES))
+def test_transfer_single_dilation_matches_per_lambda_reference(name):
+    prob = fixture_catalog.build(name)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    default = check_transfer_closed(prob).evidence["lambda_samples"]
+    ladders = [None,
+               rng.permutation(np.concatenate([default, rng.choice(default, 5)])),
+               rng.choice(default[:6], 8)]
+    for ladder in ladders:
+        evidence = check_transfer_closed(prob, ladder).evidence
+        plain, collar = _per_lambda_intersection(prob, evidence["lambda_samples"])
+        np.testing.assert_array_equal(evidence["plain_intersection"], plain)
+        np.testing.assert_array_equal(evidence["collar_points"], collar)
 
 
 def test_coercivity_verdicts(shifted72, decay):

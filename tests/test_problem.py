@@ -1,4 +1,5 @@
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from setopt import (DomainGrid, MapModel, ProblemValidationError, build_problem, colevel,
                     colevel_at_set, evaluate, evaluate_at, global_inf, scalar_field, solve,
                     to_document)
+from setopt import asymptotics, diagnostics, scalarizer
 from setopt import fixtures as fixture_catalog
+from setopt.cli import main
 
 from conftest import constant_problem
 
@@ -172,6 +175,39 @@ def test_each_grid_cloud_is_evaluated_once(name, monkeypatch):
         evaluate(prob, x)
     colevel_at_set(prob, evaluate(prob, prob.grid.points[0]))
     assert len(calls) == len(prob.grid)
+
+
+@pytest.mark.parametrize("name", ["decay_tail", "shifted_disc"])
+@pytest.mark.parametrize("command", [["check", "--all", "--transfer"], ["asymptotic", "--horizon"]],
+                         ids=lambda command: command[0])
+def test_each_off_grid_point_is_evaluated_once(name, command, monkeypatch, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(fixture_catalog.document(name)))
+    grid = fixture_catalog.build(name).grid.points
+    calls = counted_cloud_at(monkeypatch)
+    passed = []
+    real = scalarizer.scalar_value_at
+
+    def scalar_value_at(problem, x):
+        passed.append(np.asarray(x, dtype=float).tobytes())
+        return real(problem, x)
+
+    for module in (diagnostics, asymptotics):
+        monkeypatch.setattr(module, "scalar_value_at", scalar_value_at)
+    assert main([*command, str(path)]) == 0
+    capsys.readouterr()
+
+    np.testing.assert_array_equal(np.array(calls[:len(grid)]), grid)
+    off_grid = [np.asarray(x, dtype=float).tobytes() for x in calls[len(grid):]]
+    assert len(passed) > len(set(passed))  # the checkers do revisit points
+    assert sorted(off_grid) == sorted(set(passed))
+
+
+def test_table_map_matches_points_within_region_tol():
+    model = MapModel(kind="table", params={"points": [[0.0], [1.0]], "clouds": [[[0.0]], [[5.0]]]})
+    np.testing.assert_array_equal(model.cloud_at([1.0 + 1e-10]).points, [[5.0]])
+    with pytest.raises(ProblemValidationError, match="no entry for x"):
+        model.cloud_at([0.5])
 
 
 def test_store_is_the_evaluated_clouds(shifted72):

@@ -23,6 +23,7 @@ from .scalarizer import global_inf, scalar_field, scalar_value_at
 DEFAULT_T_MAX = 1e6
 DEFAULT_T_COUNT = 40
 DEFAULT_RADIUS_THRESHOLD = 100.0
+DEFAULT_LAMBDA_COUNT = 12
 ANGULAR_CLUSTER_TOL = 1e-3
 FAR_T_COUNT = 25  # radii per compass ray in far colevel samples
 
@@ -277,7 +278,8 @@ class HorizonReport:
         }
 
 
-def default_lambda_schedule(problem: SetValuedProblem, count: int = 12) -> np.ndarray:
+def default_lambda_schedule(problem: SetValuedProblem,
+                            count: int = DEFAULT_LAMBDA_COUNT) -> np.ndarray:
     """A geometric ladder strictly decreasing toward the global infimum."""
     m = global_inf(problem)
     span = float(scalar_field(problem).values.max() - m)

@@ -16,7 +16,9 @@ import sys
 import numpy as np
 
 from . import fixtures as fixture_catalog
-from .asymptotics import check_asymptotic_gap, default_lambda_schedule, horizon_outer_limit
+from .asymptotics import (DEFAULT_LAMBDA_COUNT, DEFAULT_RADIUS_THRESHOLD, DEFAULT_T_COUNT,
+                          DEFAULT_T_MAX, check_asymptotic_gap, default_lambda_schedule,
+                          horizon_outer_limit)
 from .cone import gerstewitz, gerstewitz_bisect
 from .diagnostics import (check_coercivity, check_colevel_compact_at,
                           check_regular_global_inf, check_transfer_closed,
@@ -200,11 +202,11 @@ def _build_parser() -> _Parser:
     p.add_argument("problem")
     p.add_argument("--direction", action="append", default=None,
                    help="comma-separated components; repeatable")
-    p.add_argument("--t-max", type=float, default=1e6)
-    p.add_argument("--t-count", type=int, default=40)
+    p.add_argument("--t-max", type=float, default=DEFAULT_T_MAX)
+    p.add_argument("--t-count", type=int, default=DEFAULT_T_COUNT)
     p.add_argument("--horizon", action="store_true")
-    p.add_argument("--lambda-count", type=int, default=12)
-    p.add_argument("--threshold", type=float, default=100.0)
+    p.add_argument("--lambda-count", type=int, default=DEFAULT_LAMBDA_COUNT)
+    p.add_argument("--threshold", type=float, default=DEFAULT_RADIUS_THRESHOLD)
     p.add_argument("--csv", default=None)
     p.set_defaults(handler=_cmd_asymptotic)
 

@@ -15,6 +15,11 @@ come in five kinds:
 Every kind except `table` is analytic: it can be evaluated at arbitrary
 domain points, which the asymptotic and refinement machinery relies on.
 
+Each kind has one reader.  It runs once, when the `MapModel` is built:
+it validates and converts every parameter, rejecting unknown keys with
+their document path, and returns the evaluator that `cloud_at` calls.
+The raw parameters are kept only for writing the document back.
+
 Building a problem evaluates the map once per grid point into the store
 that every grid-side layer reads instead of evaluating again.
 """
@@ -22,6 +27,7 @@ that every grid-side layer reads instead of evaluating again.
 from __future__ import annotations
 
 import reprlib
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,8 +50,10 @@ class Tolerances:
     tie_tol: float = 1e-9
 
     def __post_init__(self):
-        if min(self.cone_tol, self.tie_tol) <= 0.0:
-            raise ProblemValidationError("tolerances must be positive")
+        for name, value in self.to_dict().items():
+            if not 0.0 < value < np.inf:
+                raise ProblemValidationError(
+                    f"tolerances.{name} must be finite and positive, got {value!r}")
 
     def to_dict(self) -> dict:
         return {"cone_tol": self.cone_tol, "tie_tol": self.tie_tol}
@@ -102,11 +110,14 @@ class DomainGrid:
     @classmethod
     def from_box(cls, box, resolution) -> "DomainGrid":
         box = np.asarray(box, dtype=float)
-        resolution = [int(r) for r in np.atleast_1d(resolution)]
+        counts = np.atleast_1d(np.asarray(resolution, dtype=float))
+        whole = (counts >= 2) & (counts < np.inf) & (np.floor(counts) == counts)
+        if counts.ndim != 1 or not whole.all():
+            raise ProblemValidationError(f"domain.resolution must be whole numbers >= 2, "
+                                         f"got {reprlib.repr(counts.tolist())}")
+        resolution = [int(r) for r in counts]
         if box.ndim != 2 or box.shape[1] != 2 or len(resolution) != box.shape[0]:
             raise ProblemValidationError("box and resolution must agree per axis")
-        if any(r < 2 for r in resolution):
-            raise ProblemValidationError("resolution must be at least 2 per axis")
         axes = [np.linspace(lo, hi, r) for (lo, hi), r in zip(box, resolution)]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
@@ -142,12 +153,10 @@ class DomainGrid:
 
 
 # ---------------------------------------------------------------------------
-# scalar function registry for interval maps
+# map models: one reader per kind
 # ---------------------------------------------------------------------------
 
-# the coefficients each function type reads; every type takes an optional offset
-_FN_TYPES = {"const": ("c",), "linear": ("a", "b"), "quadratic": ("a", "b", "c"),
-             "inv_linear": ("a", "b")}
+_PARAMS = "map.parameters"  # document path of a map model's params
 
 
 def _require(spec, key: str, path: str):
@@ -162,6 +171,24 @@ def _mapping(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise ProblemValidationError(f"{path} must be an object, got {reprlib.repr(value)}")
     return value
+
+
+def _section(value, path: str, *known: str) -> dict:
+    """value as a JSON object with no key outside `known`, else an error naming the path."""
+    for key in _mapping(value, path):
+        if key not in known:
+            raise ProblemValidationError(f"unknown key {path}.{key}; expected {', '.join(known)}")
+    return value
+
+
+def _typed(spec, path: str, keys: dict, default=None, tag: str = "type") -> str:
+    """spec[tag], one of `keys`; spec may hold only the tag and the keys listed for it."""
+    kind = _mapping(spec, path).get(tag, default)
+    if not isinstance(kind, str) or kind not in keys:
+        raise ProblemValidationError(
+            f"{path}.{tag} must be one of {', '.join(keys)}, got {reprlib.repr(kind)}")
+    _section(spec, path, tag, *keys[kind])
+    return kind
 
 
 def _numeric(value, path: str, scalar: bool = False):
@@ -181,194 +208,257 @@ def _number(spec, key: str, path: str) -> float:
     return _numeric(_require(spec, key, path), f"{path}.{key}", scalar=True)
 
 
-def _eval_fn(fn: dict, x: float) -> float:
-    kind = fn["type"]
-    offset = float(fn.get("offset", 0.0))
+def _flag(spec: dict, key: str, path: str, default: bool = False) -> bool:
+    value = spec.get(key, default)
+    if not isinstance(value, bool):
+        raise ProblemValidationError(f"{path}.{key} must be a boolean, got {reprlib.repr(value)}")
+    return value
+
+
+def _note(spec: dict, notes: list):
+    """spec's sampling_note; a nonempty one is also appended to notes."""
+    note = spec.get("sampling_note")
+    if note:
+        notes.append(note)
+    return note
+
+
+def _cloud(value, path: str, note) -> PointCloudSet:
+    points = _numeric(value, path)
+    if points.ndim > 2:
+        raise ProblemValidationError(f"{path} must be a list of points")
+    try:
+        return PointCloudSet(points, sampling_note=note)
+    except ProblemValidationError as exc:  # an empty or non-finite cloud
+        raise ProblemValidationError(f"{path}: {exc}") from None
+
+
+def _entries(items, path: str, *known: str) -> list[tuple[dict, str]]:
+    """(item, its path) per item of the JSON list items; each an object with keys in known."""
+    if not isinstance(items, list):
+        raise ProblemValidationError(f"{path} must be a list, got {reprlib.repr(items)}")
+    return [(_section(item, f"{path}[{i}]", *known), f"{path}[{i}]")
+            for i, item in enumerate(items)]
+
+
+def _read_point(value, path: str):
+    """x -> whether x is the document point `value` up to REGION_TOL."""
+    target = _numeric(value, path).reshape(-1)
+    return lambda x: target.shape == x.shape and bool(np.max(np.abs(x - target)) <= REGION_TOL)
+
+
+def _read_fn(fn, path: str):
+    """t -> value of one function from the registry of interval bounds."""
+    kind = _typed(fn, path, {"const": ("c", "offset"), "linear": ("a", "b", "offset"),
+                             "quadratic": ("a", "b", "c", "offset"),
+                             "inv_linear": ("a", "b", "offset")})
+    offset = _numeric(fn.get("offset", 0.0), f"{path}.offset", scalar=True)
     if kind == "const":
-        return float(fn["c"]) + offset
-    if kind == "linear":
-        return float(fn["a"]) * x + float(fn["b"]) + offset
+        c = _number(fn, "c", path)
+        return lambda t: c + offset
     if kind == "quadratic":
-        return float(fn["a"]) * x * x + float(fn["b"]) * x + float(fn["c"]) + offset
-    if kind == "inv_linear":
-        den = float(fn["a"]) * x + float(fn["b"])
+        a, b, c = (_number(fn, key, path) for key in ("a", "b", "c"))
+        return lambda t: a * t * t + b * t + c + offset
+    a, b = _number(fn, "a", path), _number(fn, "b", path)
+    if kind == "linear":
+        return lambda t: a * t + b + offset
+    def inv_linear(t: float) -> float:
+        den = a * t + b
         if abs(den) < 1e-300:
-            raise ProblemValidationError(f"inv_linear pole at x={x}")
+            raise ProblemValidationError(f"inv_linear pole at x={t}")
         return 1.0 / den + offset
-    raise ProblemValidationError(f"unknown function type {kind!r}")
+    return inv_linear
 
 
-def _validate_fn(fn, path: str) -> None:
-    if not isinstance(fn, dict) or fn.get("type") not in _FN_TYPES:
-        raise ProblemValidationError(f"{path} needs a type in {sorted(_FN_TYPES)}")
-    for key in _FN_TYPES[fn["type"]] + (("offset",) if "offset" in fn else ()):
-        _number(fn, key, path)
+def _read_bounds(spec: dict, path: str):
+    """t -> whether t is within spec's optional lo/hi, widened by REGION_TOL unless strict."""
+    lo_strict, hi_strict = _flag(spec, "lo_strict", path), _flag(spec, "hi_strict", path)
+    lo = hi = None
+    if spec.get("lo") is not None:
+        lo = _number(spec, "lo", path) + (REGION_TOL if lo_strict else -REGION_TOL)
+    if spec.get("hi") is not None:
+        hi = _number(spec, "hi", path) + (-REGION_TOL if hi_strict else REGION_TOL)
+    return lambda t: ((lo is None or (t > lo if lo_strict else t >= lo))
+                      and (hi is None or (t < hi if hi_strict else t <= hi)))
 
 
-def _bound_ok(x: float, piece: dict) -> bool:
-    lo, hi = piece.get("lo"), piece.get("hi")
-    if lo is not None:
-        if piece.get("lo_strict", False):
-            if not x > float(lo) + REGION_TOL:
-                return False
-        elif not x >= float(lo) - REGION_TOL:
-            return False
-    if hi is not None:
-        if piece.get("hi_strict", False):
-            if not x < float(hi) - REGION_TOL:
-                return False
-        elif not x <= float(hi) + REGION_TOL:
-            return False
-    return True
-
-
-def _eval_pieces(pieces: list[dict], x: float) -> float:
-    # ties between overlapping pieces go to the first listed
-    for piece in pieces:
-        if _bound_ok(x, piece):
-            return _eval_fn(piece["fn"], x)
-    raise ProblemValidationError(f"no piece covers x={x}")
-
-
-def _validate_pieces(pieces, path: str) -> None:
-    if not isinstance(pieces, list) or not pieces:
+def _read_pieces(pieces, path: str):
+    """t -> the value of the first listed piece whose bounds hold at t."""
+    read = [(_read_bounds(piece, entry), _read_fn(_require(piece, "fn", entry), f"{entry}.fn"))
+            for piece, entry in _entries(pieces, path, "fn", "lo", "hi", "lo_strict", "hi_strict")]
+    if not read:
         raise ProblemValidationError(f"{path} needs a nonempty piece list")
-    for i, piece in enumerate(pieces):
-        _validate_fn(_require(piece, "fn", f"{path}[{i}]"), f"{path}[{i}].fn")
-        _validate_bounds(piece, f"{path}[{i}]")
+    def value(t: float) -> float:
+        for inside, fn in read:
+            if inside(t):
+                return fn(t)
+        raise ProblemValidationError(f"no piece covers x={t}")
+    return value
 
 
-def _validate_bounds(spec: dict, path: str) -> None:
-    for key in ("lo", "hi"):
-        if spec.get(key) is not None:
-            _number(spec, key, path)
-
-
-# ---------------------------------------------------------------------------
-# map models
-# ---------------------------------------------------------------------------
-
-_MAP_KINDS = {"table", "constant", "interval", "ball", "piecewise"}
-_PARAMS = "map.parameters"  # document path of a map model's params
-_CENTER_FAMILIES = {"abs_components", "identity", "fixed"}
-_CLOUD_SPEC_KEYS = {"fixed": ("points",), "affine_point": ("matrix", "offset")}
-
-
-def _circle(samples: int) -> np.ndarray:
-    # fixed angular lattice starting at angle 0; even counts include pi
-    angles = np.arange(samples) * (2.0 * np.pi / samples)
-    return np.stack([np.cos(angles), np.sin(angles)], axis=1)
-
-
-def _ball_center(value, path: str) -> None:
-    if _numeric(value, path).shape != (2,):
-        raise ProblemValidationError(f"{path} must be a 2D point, got {reprlib.repr(value)}")
-
-
-def _match_point(x: np.ndarray, target, atol: float = REGION_TOL) -> bool:
-    target = np.asarray(target, dtype=float).reshape(-1)
-    return target.shape == x.shape and bool(np.max(np.abs(x - target)) <= atol)
-
-
-def _region_matches(region: dict, x: np.ndarray) -> bool:
-    kind = region.get("type", "always")
+def _read_where(where, path: str):
+    """x -> whether a region's predicate holds at x."""
+    kind = _typed(where, path, {"always": (), "eq": ("point",),
+                                "interval": ("lo", "hi", "lo_strict", "hi_strict")},
+                  default="always")
     if kind == "always":
-        return True
+        return lambda x: True
     if kind == "eq":
-        return _match_point(x, region["point"])
-    if kind == "interval":
+        return _read_point(_require(where, "point", path), f"{path}.point")
+    inside = _read_bounds(where, path)
+    def matches(x: np.ndarray) -> bool:
         if x.shape[0] != 1:
-            raise ProblemValidationError("interval region predicates are 1D only")
-        return _bound_ok(float(x[0]), region)
-    raise ProblemValidationError(f"unknown region type {kind!r}")
+            raise ProblemValidationError(f"{path}: interval region predicates are 1D only")
+        return inside(float(x[0]))
+    return matches
 
 
-def _validate_region(region, path: str) -> None:
-    region = _mapping(region, path)
-    where = _mapping(region.get("where", {}), f"{path}.where")
-    if where.get("type") == "eq":
-        _numeric(_require(where, "point", f"{path}.where"), f"{path}.where.point")
-    elif where.get("type") == "interval":
-        _validate_bounds(where, f"{path}.where")
-    spec = _mapping(_require(region, "cloud", path), f"{path}.cloud")
-    kind = spec.get("type", "fixed")
-    for key in _CLOUD_SPEC_KEYS.get(kind, ()) if isinstance(kind, str) else ():
-        _numeric(_require(spec, key, f"{path}.cloud"), f"{path}.cloud.{key}")
-
-
-def _cloud_from_spec(spec: dict, x: np.ndarray) -> PointCloudSet:
-    kind = spec.get("type", "fixed")
+def _read_cloud_spec(spec, path: str, notes: list):
+    """x -> the cloud a region assigns to x."""
+    kind = _typed(spec, path, {"fixed": ("points", "sampling_note"),
+                               "affine_point": ("matrix", "offset", "sampling_note")},
+                  default="fixed")
+    note = _note(spec, notes)
     if kind == "fixed":
-        return PointCloudSet(np.asarray(spec["points"], dtype=float),
-                             sampling_note=spec.get("sampling_note"))
-    if kind == "affine_point":
-        a = np.asarray(spec["matrix"], dtype=float)
-        b = np.asarray(spec["offset"], dtype=float)
-        return PointCloudSet((a @ x + b)[None, :])
-    raise ProblemValidationError(f"unknown cloud spec type {kind!r}")
+        cloud = _cloud(_require(spec, "points", path), f"{path}.points", note)
+        return lambda x: cloud
+    matrix = _numeric(_require(spec, "matrix", path), f"{path}.matrix")
+    offset = _numeric(_require(spec, "offset", path), f"{path}.offset")
+    if matrix.ndim != 2 or matrix.size == 0 or offset.shape != matrix.shape[:1]:
+        raise ProblemValidationError(f"{path}.matrix must be 2D, one row per {path}.offset entry")
+    def affine_point(x: np.ndarray) -> PointCloudSet:
+        if x.shape[0] != matrix.shape[1]:
+            raise ProblemValidationError(f"{path}.matrix has {matrix.shape[1]} columns, but "
+                                         f"domain points have dimension {x.shape[0]}")
+        return PointCloudSet((matrix @ x + offset)[None, :])
+    return affine_point
+
+
+def _read_table(params, notes: list):
+    _section(params, _PARAMS, "points", "clouds", "sampling_note")
+    note = _note(params, notes)
+    pts = np.atleast_2d(_numeric(_require(params, "points", _PARAMS), f"{_PARAMS}.points"))
+    clouds = _require(params, "clouds", _PARAMS)
+    if pts.ndim != 2 or pts.size == 0 or not isinstance(clouds, list) or len(clouds) != len(pts):
+        raise ProblemValidationError(f"table map needs matching {_PARAMS}.points and clouds")
+    clouds = [_cloud(cloud, f"{_PARAMS}.clouds[{i}]", note) for i, cloud in enumerate(clouds)]
+    def lookup(x: np.ndarray) -> PointCloudSet:
+        if x.shape != pts.shape[1:]:
+            raise ProblemValidationError(f"{_PARAMS}.points have dimension {pts.shape[1]}, but "
+                                         f"domain points have dimension {x.shape[0]}")
+        dists = np.max(np.abs(pts - x), axis=1)
+        idx = int(np.argmin(dists))
+        if dists[idx] > REGION_TOL:
+            raise ProblemValidationError(f"table map has no entry for x={x.tolist()}")
+        return clouds[idx]
+    return lookup
+
+
+def _read_constant(params, notes: list):
+    _section(params, _PARAMS, "cloud", "sampling_note")
+    cloud = _cloud(_require(params, "cloud", _PARAMS), f"{_PARAMS}.cloud", _note(params, notes))
+    return lambda x: cloud
+
+
+def _read_interval(params, notes: list):
+    _section(params, _PARAMS, "lower", "upper", "sampling_note")
+    _note(params, notes)
+    lower = _read_pieces(params.get("lower"), f"{_PARAMS}.lower")
+    upper = _read_pieces(params.get("upper"), f"{_PARAMS}.upper")
+    def interval(x: np.ndarray) -> PointCloudSet:
+        if x.shape[0] != 1:
+            raise ProblemValidationError("interval maps take 1D domain points")
+        t = float(x[0])
+        lo, hi = lower(t), upper(t)
+        if lo > hi + REGION_TOL:
+            raise ProblemValidationError(f"interval violation: lower {lo} > upper {hi} at x={t}")
+        return PointCloudSet(np.array([[lo], [hi]]))
+    return interval
+
+
+def _read_ball(params, notes: list):
+    _section(params, _PARAMS, "center", "radius", "samples", "sampling_note")
+    _note(params, notes)
+    radius = _numeric(params.get("radius", 0.0), f"{_PARAMS}.radius", scalar=True)
+    samples = _numeric(params.get("samples", 0), f"{_PARAMS}.samples", scalar=True)
+    if not (radius > 0.0 and 3 <= samples < np.inf and samples == int(samples)):
+        raise ProblemValidationError(f"ball map needs {_PARAMS}.radius > 0 and "
+                                     f"{_PARAMS}.samples a whole number >= 3")
+    # fixed angular lattice starting at angle 0; even counts include pi
+    angles = np.arange(int(samples)) * (2.0 * np.pi / int(samples))
+    ring = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    def point(value, path: str) -> np.ndarray:
+        centre = _numeric(value, path)
+        if centre.shape != (2,):
+            raise ProblemValidationError(f"{path} must be a 2D point, got {reprlib.repr(value)}")
+        return centre
+
+    path = f"{_PARAMS}.center"
+    spec = params.get("center", {})
+    family = _typed(spec, path, {"abs_components": ("overrides",), "identity": ("overrides",),
+                                 "fixed": ("value", "overrides")}, tag="family")
+    fixed = point(_require(spec, "value", path), f"{path}.value") if family == "fixed" else None
+    read = [(_read_point(_require(override, "at", entry), f"{entry}.at"),
+             point(_require(override, "value", entry), f"{entry}.value"))
+            for override, entry in _entries(spec.get("overrides", []), f"{path}.overrides",
+                                            "at", "value")]
+    def ball(x: np.ndarray) -> PointCloudSet:
+        for at, value in read:
+            if at(x):
+                return PointCloudSet(value + ring)
+        centre = fixed if family == "fixed" else np.abs(x) if family == "abs_components" else x
+        if centre.shape[0] != 2:
+            raise ProblemValidationError(f"{path}.family {family} needs 2D domain points: "
+                                         "ball maps produce 2D image clouds")
+        return PointCloudSet(centre + ring)
+    return ball
+
+
+def _read_piecewise(params, notes: list):
+    _section(params, _PARAMS, "regions", "sampling_note")
+    _note(params, notes)
+    read = [(_read_where(region.get("where", {}), f"{path}.where"),
+             _read_cloud_spec(_require(region, "cloud", path), f"{path}.cloud", notes))
+            for region, path in _entries(params.get("regions"), f"{_PARAMS}.regions",
+                                         "where", "cloud")]
+    if not read:
+        raise ProblemValidationError(f"piecewise map needs a nonempty {_PARAMS}.regions list")
+    def piecewise(x: np.ndarray) -> PointCloudSet:
+        for where, cloud in read:  # the first listed region that holds wins
+            if where(x):
+                return cloud(x)
+        raise ProblemValidationError(f"no region covers x={x.tolist()}")
+    return piecewise
+
+
+# kind -> reader(params, notes): checks and converts params once, appends the
+# sampling notes it reads to notes, and returns the evaluator x -> cloud
+_READERS = {"table": _read_table, "constant": _read_constant, "interval": _read_interval,
+            "ball": _read_ball, "piecewise": _read_piecewise}
 
 
 @dataclass(frozen=True)
 class MapModel:
-    """One of the supported set-valued map kinds plus its parameters."""
+    """One of the supported set-valued map kinds plus its parameters.
+
+    Construction reads `params` once, through the reader of `kind`, into
+    the evaluator that `cloud_at` calls and the sampling notes; `params`
+    itself is kept only for writing the document back (`to_dict`).
+    """
 
     kind: str
     params: dict
-    # table kind only: its points and clouds as float arrays, converted once
-    _table: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _evaluate: Callable[[np.ndarray], PointCloudSet] = field(init=False, repr=False, compare=False)
+    _notes: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.kind, str) or self.kind not in _MAP_KINDS:
-            raise ProblemValidationError(f"unknown map kind {self.kind!r}")
-        _mapping(self.params, _PARAMS)
-        getattr(self, f"_validate_{self.kind}")()
-
-    # -- validation per kind ------------------------------------------------
-
-    def _validate_table(self):
-        pts = np.atleast_2d(_numeric(self.params.get("points", []), f"{_PARAMS}.points"))
-        clouds = self.params.get("clouds", [])
-        if pts.size == 0 or not isinstance(clouds, list) or len(clouds) != len(pts):
-            raise ProblemValidationError("table map needs matching points and clouds")
-        clouds = [_numeric(c, f"{_PARAMS}.clouds[{i}]") for i, c in enumerate(clouds)]
-        object.__setattr__(self, "_table", (pts, clouds))
-
-    def _validate_constant(self):
-        PointCloudSet(_numeric(_require(self.params, "cloud", _PARAMS), f"{_PARAMS}.cloud"))
-
-    def _validate_interval(self):
-        _validate_pieces(self.params.get("lower"), f"{_PARAMS}.lower")
-        _validate_pieces(self.params.get("upper"), f"{_PARAMS}.upper")
-
-    def _validate_ball(self):
-        radius = _numeric(self.params.get("radius", 0.0), f"{_PARAMS}.radius", scalar=True)
-        samples = _numeric(self.params.get("samples", 0), f"{_PARAMS}.samples", scalar=True)
-        if not (radius > 0.0 and 3 <= samples < np.inf):
-            raise ProblemValidationError("ball map needs radius > 0 and samples >= 3")
-        path = f"{_PARAMS}.center"
-        center = _mapping(self.params.get("center", {}), path)
-        if center.get("family") not in _CENTER_FAMILIES:
-            raise ProblemValidationError(
-                f"ball center family must be one of {sorted(_CENTER_FAMILIES)}"
-            )
-        if center["family"] == "fixed":
-            _ball_center(_require(center, "value", path), f"{path}.value")
-        overrides = center.get("overrides", [])
-        if not isinstance(overrides, list):
-            raise ProblemValidationError(f"{path}.overrides must be a list")
-        for i, override in enumerate(overrides):
-            entry = f"{path}.overrides[{i}]"
-            _numeric(_require(override, "at", entry), f"{entry}.at")
-            _ball_center(_require(override, "value", entry), f"{entry}.value")
-
-    def _validate_piecewise(self):
-        regions = self.params.get("regions")
-        if not isinstance(regions, list) or not regions:
-            raise ProblemValidationError("piecewise map needs a nonempty region list")
-        for i, region in enumerate(regions):
-            _validate_region(region, f"{_PARAMS}.regions[{i}]")
-
-    # -- evaluation ----------------------------------------------------------
+        reader = _READERS.get(self.kind) if isinstance(self.kind, str) else None
+        if reader is None:
+            raise ProblemValidationError(f"unknown map kind {reprlib.repr(self.kind)} at "
+                                         f"map.kind; expected {', '.join(_READERS)}")
+        notes = []
+        object.__setattr__(self, "_evaluate", reader(self.params, notes))
+        object.__setattr__(self, "_notes", tuple(notes))
 
     @property
     def is_analytic(self) -> bool:
@@ -376,67 +466,11 @@ class MapModel:
         return self.kind != "table"
 
     def cloud_at(self, x) -> PointCloudSet:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        return getattr(self, f"_cloud_{self.kind}")(x)
-
-    def _cloud_table(self, x: np.ndarray) -> PointCloudSet:
-        pts, clouds = self._table
-        dists = np.max(np.abs(pts - x), axis=1)
-        idx = int(np.argmin(dists))
-        if dists[idx] > REGION_TOL:
-            raise ProblemValidationError(f"table map has no entry for x={x.tolist()}")
-        return PointCloudSet(clouds[idx], sampling_note=self.params.get("sampling_note"))
-
-    def _cloud_constant(self, x: np.ndarray) -> PointCloudSet:
-        return PointCloudSet(np.asarray(self.params["cloud"], dtype=float),
-                             sampling_note=self.params.get("sampling_note"))
-
-    def _cloud_interval(self, x: np.ndarray) -> PointCloudSet:
-        if x.shape[0] != 1:
-            raise ProblemValidationError("interval maps take 1D domain points")
-        t = float(x[0])
-        lo = _eval_pieces(self.params["lower"], t)
-        hi = _eval_pieces(self.params["upper"], t)
-        if lo > hi + REGION_TOL:
-            raise ProblemValidationError(f"interval violation: lower {lo} > upper {hi} at x={t}")
-        return PointCloudSet(np.array([[lo], [hi]]))
-
-    def _cloud_ball(self, x: np.ndarray) -> PointCloudSet:
-        center_spec = self.params["center"]
-        center = None
-        for override in center_spec.get("overrides", []):
-            if _match_point(x, override["at"]):
-                center = np.asarray(override["value"], dtype=float)
-                break
-        if center is None:
-            family = center_spec["family"]
-            if family == "abs_components":
-                center = np.abs(x)
-            elif family == "identity":
-                center = x.copy()
-            else:  # fixed
-                center = np.asarray(center_spec["value"], dtype=float)
-        if center.shape[0] != 2:
-            raise ProblemValidationError("ball maps produce 2D image clouds")
-        ring = center + float(self.params["radius"]) * _circle(int(float(self.params["samples"])))
-        return PointCloudSet(ring)
-
-    def _cloud_piecewise(self, x: np.ndarray) -> PointCloudSet:
-        for region in self.params["regions"]:
-            if _region_matches(region.get("where", {"type": "always"}), x):
-                return _cloud_from_spec(region["cloud"], x)
-        raise ProblemValidationError(f"no region covers x={x.tolist()}")
+        return self._evaluate(np.asarray(x, dtype=float).reshape(-1))
 
     def sampling_notes(self) -> list[str]:
         """All sampling notes declared anywhere in the parameters."""
-        notes = []
-        if self.params.get("sampling_note"):
-            notes.append(self.params["sampling_note"])
-        for region in self.params.get("regions", []):
-            note = region.get("cloud", {}).get("sampling_note")
-            if note:
-                notes.append(note)
-        return notes
+        return list(self._notes)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "parameters": jsonable(self.params)}
@@ -516,14 +550,13 @@ def evaluate_at(problem: SetValuedProblem, x) -> PointCloudSet:
 
 def build_problem(doc: dict) -> SetValuedProblem:
     """Construct and validate a problem from a problem document."""
-    if not isinstance(doc, dict):
-        raise ProblemValidationError("problem document must be a mapping")
+    _section(doc, "document", "schema_version", "cone", "domain", "map", "tolerances", "flags")
     version = str(doc.get("schema_version", SCHEMA_VERSION))
     if version != SCHEMA_VERSION:
         raise ProblemValidationError(f"unrecognized schema_version {version!r}")
 
     # a scal_tol key, which no computation ever read, is accepted and ignored
-    tol_doc = _mapping(doc.get("tolerances", {}), "tolerances")
+    tol_doc = _section(doc.get("tolerances", {}), "tolerances", "cone_tol", "tie_tol", "scal_tol")
     tolerances = Tolerances(
         cone_tol=_numeric(tol_doc.get("cone_tol", 1e-12), "tolerances.cone_tol", scalar=True),
         tie_tol=_numeric(tol_doc.get("tie_tol", 1e-9), "tolerances.tie_tol", scalar=True),
@@ -531,7 +564,7 @@ def build_problem(doc: dict) -> SetValuedProblem:
 
     if "cone" not in doc:
         raise ProblemValidationError("problem document needs a cone section")
-    cone_doc = _mapping(doc["cone"], "cone")
+    cone_doc = _section(doc["cone"], "cone", "dual_generators", "q")
     generators = _require(cone_doc, "dual_generators", "cone")
     cone = ConeSpec(_numeric(generators, "cone.dual_generators"),
                     _numeric(_require(cone_doc, "q", "cone"), "cone.q"), tolerances.cone_tol)
@@ -542,20 +575,22 @@ def build_problem(doc: dict) -> SetValuedProblem:
     if has_points == has_box:
         raise ProblemValidationError("domain needs exactly one of points or box")
     if has_points:
+        _section(domain, "domain", "points")
         pts = _numeric(domain["points"], "domain.points")
         if pts.ndim == 1:
             pts = pts[:, None]
         grid = DomainGrid(pts)
     else:
+        _section(domain, "domain", "box", "resolution")
         resolution = _require(domain, "resolution", "domain")
         grid = DomainGrid.from_box(_numeric(domain["box"], "domain.box"),
                                    _numeric(resolution, "domain.resolution"))
 
-    map_doc = _mapping(doc.get("map", {}), "map")
+    map_doc = _section(doc.get("map", {}), "map", "kind", "parameters")
     map_model = MapModel(kind=map_doc.get("kind", ""), params=map_doc.get("parameters", {}))
 
-    flags_doc = _mapping(doc.get("flags", {}), "flags")
-    flags = Flags(k_q_set=bool(flags_doc.get("K_q_set", True)))
+    flags_doc = _section(doc.get("flags", {}), "flags", "K_q_set")
+    flags = Flags(k_q_set=_flag(flags_doc, "K_q_set", "flags", default=True))
 
     return SetValuedProblem(grid=grid, map_model=map_model, cone=cone,
                             tolerances=tolerances, flags=flags)

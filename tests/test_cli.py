@@ -182,6 +182,16 @@ def _edited(name, *keys, value):
     return make
 
 
+def _unreached_region(name, region):
+    """A maker for the piecewise fixture `name` with `region` listed after its catch-all."""
+    def make():
+        doc = fixtures.document(name)
+        doc["map"]["parameters"]["regions"].append(region)
+        return doc
+    make.__name__ = f"_{name}_unreached"
+    return make
+
+
 @pytest.mark.parametrize("path, make", [
     ("map.parameters.cloud", _constant_without_cloud),
     ("map.parameters.center.value", _fixed_centre_without_value),
@@ -209,6 +219,48 @@ def _edited(name, *keys, value):
     ("domain.points", _edited("tradeoff_segment", "domain", value={"points": [[0.0], ["half"]]})),
     ("tolerances.cone_tol", _edited("tradeoff_segment", "tolerances", "cone_tol", value="x")),
     ("cone must be an object", _edited("tradeoff_segment", "cone", value=5)),
+    ("map.parameters.center.family", _edited(
+        "shifted_disc", "map", "parameters", "center", "family", value=["x"])),
+    ("map.parameters.center.family", _edited("ramp_gap", "map", value={
+        "kind": "ball", "parameters": {"center": {"family": "identity"}, "radius": 1.0,
+                                       "samples": 4}})),
+    ("map.parameters.lower[0].fn.type", _edited(
+        "decay_tail", "map", "parameters", "lower", 0, "fn", "type", value=["x"])),
+    ("map.parameters.regions[0].cloud.matrix", _edited(
+        "tradeoff_segment", "map", "parameters", "regions", 0, "cloud", "matrix",
+        value=[[1.0, 2.0]])),
+    ("map.parameters.regions[0].cloud.matrix has 2 columns", _edited(
+        "tradeoff_segment", "map", "parameters", "regions", 0, "cloud", "matrix",
+        value=[[1.0, 2.0], [0.0, 1.0]])),
+    ("map.parameters.regions[0].where.type", _edited(
+        "wedge_strip", "map", "parameters", "regions", 0, "where", "type", value=["eq"])),
+    ("map.parameters.regions[1].cloud.type", _edited(
+        "tradeoff_segment", "map", "parameters", "regions", 1, "cloud", "type",
+        value=["fixed"])),
+    ("map.parameters.points", _edited("tradeoff_segment", "map", value={
+        "kind": "table",
+        "parameters": {"points": [[0.0, 0.0], [1.0, 1.0]],
+                       "clouds": [[[0.0, 1.0]], [[1.0, 0.0]]]}})),
+    ("tolerances.tie_tol", _edited("ramp_gap", "tolerances", "tie_tol", value=float("nan"))),
+    ("tolerances.tie_tol", _edited("decay_tail", "tolerances", "tie_tol", value=float("inf"))),
+    ("tolerances.cone_tol", _edited("ramp_gap", "tolerances", "cone_tol", value=float("nan"))),
+    ("tolerances.cone_tol", _edited("decay_tail", "tolerances", "cone_tol", value=float("inf"))),
+    ("domain.resolution", _edited("kinked_interval", "domain", "resolution",
+                                  value=[float("nan")])),
+    ("domain.resolution", _edited("decay_tail", "domain", "resolution", value=[float("inf")])),
+    ("domain.resolution", _edited("ramp_gap", "domain", "resolution", value=[24.5])),
+    ("tolerances.tie_toll", _edited("tradeoff_segment", "tolerances", "tie_toll", value=1e-9)),
+    ("map.parameters.lower[0].fn.d", _edited(
+        "decay_tail", "map", "parameters", "lower", 0, "fn", "d", value=1.0)),
+    ("document.comment", _edited("tradeoff_segment", "comment", value="a typo")),
+    ("flags.K_q_set", _edited("decay_tail", "flags", "K_q_set", value="false")),
+    ("map.parameters.lower[0].hi_strict", _edited(
+        "decay_tail", "map", "parameters", "lower", 0, "hi_strict", value="true")),
+    ("map.parameters.samples", _edited("shifted_disc", "map", "parameters", "samples", value=3.7)),
+    ("map.parameters.regions[2].where.type", _unreached_region(
+        "tradeoff_segment", {"where": {"type": "bogus"}, "cloud": {"points": [[0.0, 0.0]]}})),
+    ("map.parameters.regions[2].cloud.points", _unreached_region(
+        "wedge_strip", {"cloud": {"points": []}})),
 ])
 def test_malformed_document_exits_1_naming_its_path(path, make, capsys, tmp_path):
     bad = tmp_path / "bad.json"

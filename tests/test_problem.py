@@ -220,3 +220,40 @@ def test_store_is_the_evaluated_clouds(shifted72):
         np.testing.assert_array_equal(
             shifted72.cloud_points[starts[i]: starts[i] + len(cloud)], cloud.points)
     assert starts[-1] + len(shifted72.clouds[-1]) == len(shifted72.cloud_points)
+
+
+def _with_map(name, kind, parameters):
+    doc = fixture_catalog.document(name)
+    doc["map"] = {"kind": kind, "parameters": parameters}
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    fixture_catalog.document("decay_tail"),
+    fixture_catalog.document("shifted_disc", samples=12),
+    fixture_catalog.document("tradeoff_segment"),
+    _with_map("ramp_gap", "constant", {"cloud": [[0.5], [1.5]], "sampling_note": "two points"}),
+    {"schema_version": "1",
+     "cone": {"dual_generators": [[1.0, 0.0], [0.0, 1.0]], "q": [1.0, 1.0]},
+     "domain": {"points": [[0.0], [1.0], [2.0]]},
+     "map": {"kind": "table", "parameters": {
+         "points": [[0.0], [1.0], [2.0]],
+         "clouds": [[[0.0, 1.0]], [[1.0, 0.0]], [[2.0, 2.0], [3.0, 1.0]]],
+         "sampling_note": "three listed clouds"}}},
+], ids=lambda doc: doc["map"]["kind"])
+def test_map_model_reads_its_parameters_once(doc):
+    problem = build_problem(doc)
+    model, grid = problem.map_model, problem.grid
+    points = list(grid.points)
+    if model.is_analytic:
+        points += list(grid.points[:4] + 0.37 * grid.step_estimate()) + [grid.points[-1] * 100.0]
+    before = [model.cloud_at(x) for x in points]
+    notes = model.sampling_notes()
+
+    model.params.clear()
+    for x, cloud in zip(points, before):
+        again = model.cloud_at(x)
+        assert again.points.tobytes() == cloud.points.tobytes()
+        assert again.points.shape == cloud.points.shape
+        assert again.sampling_note == cloud.sampling_note
+    assert model.sampling_notes() == notes

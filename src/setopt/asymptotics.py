@@ -26,6 +26,8 @@ DEFAULT_RADIUS_THRESHOLD = 100.0
 DEFAULT_LAMBDA_COUNT = 12
 ANGULAR_CLUSTER_TOL = 1e-3
 FAR_T_COUNT = 25  # radii per compass ray in far colevel samples
+# A value counts as above the infimum only beyond MARGIN_FACTOR * tie_tol.
+MARGIN_FACTOR = 10.0
 
 
 def default_t_values(t_max: float = DEFAULT_T_MAX, count: int = DEFAULT_T_COUNT) -> np.ndarray:
@@ -215,7 +217,7 @@ def check_asymptotic_gap(problem: SetValuedProblem, directions=None,
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     if len(directions) == 0:
         raise ProblemValidationError("directions must be nonempty")
-    margin = 10.0 * problem.tolerances.tie_tol
+    margin = MARGIN_FACTOR * problem.tolerances.tie_tol
     m = global_inf(problem)
     ts = default_t_values(t_max, t_count)
     estimates = []

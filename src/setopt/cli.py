@@ -10,6 +10,7 @@ consistency violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -178,6 +179,7 @@ def _cmd_fixtures(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built on the first call, not at import
 def _build_parser() -> _Parser:
     parser = _Parser(prog="setopt",
                      description="Set optimization toolkit: scalarization, "

@@ -24,13 +24,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotics import GapReport, check_asymptotic_gap, compass_directions
+from .asymptotics import MARGIN_FACTOR, GapReport, check_asymptotic_gap, compass_directions
 from .errors import InternalConsistencyError, ProblemValidationError
 from .problem import SetValuedProblem, jsonable
-from .scalarizer import colevel, colevel_at_set, scalar_field, scalar_value_at
-from .solver import strict_weak_efficient_brute
+from .scalarizer import colevel, scalar_field, scalar_value_at
+from .solver import domination_matrix, strict_weak_efficient_brute
 
-MARGIN_FACTOR = 10.0
 _REFINE_LEVELS = (0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625)
 _COERCIVITY_LADDER = 16  # halvings of lam_probe - inf probed for a bounded colevel set
 _MAX_RESTRICTIONS = 6    # norm balls 1..6 get their own regular-global-inf check
@@ -320,10 +319,11 @@ def check_colevel_compact_at(problem: SetValuedProblem, x0) -> Verdict:
     """Boundedness of the colevel set at height F(x0), with the cross-check
     that a bounded outcome forces x0 efficient or the problem coercive."""
     idx0 = problem.grid.locate(x0)
-    members = colevel_at_set(problem, problem.clouds[idx0])
     if problem.grid.box is None:
         return Verdict(status="inconclusive",
                        evidence={"limiting_resource": "no box metadata on the grid"})
+    # row idx0 of D is F(x0) <l F(x); the colevel set is where it is false
+    members = np.flatnonzero(~domination_matrix(problem)[idx0])
     bounded = _strictly_inside(problem, members)
     in_strict = idx0 in set(strict_weak_efficient_brute(problem).tolist())
     coercive = check_coercivity(problem).holds
@@ -410,8 +410,6 @@ def existence_report(problem: SetValuedProblem) -> HypothesisReport:
             restricted[n] = check_regular_global_inf(problem, restrict_norm=float(n))
 
     coercive_blockers = []
-    if not attainment.holds:
-        coercive_blockers.append("attainment")
     if not rgi.holds:
         coercive_blockers.append(f"regular_global_inf ({rgi.status})")
     if not coercivity.holds:
@@ -419,8 +417,6 @@ def existence_report(problem: SetValuedProblem) -> HypothesisReport:
     coercive = TheoremVerdict(applicable=not coercive_blockers, blocked_by=coercive_blockers)
 
     noncoercive_blockers = []
-    if not attainment.holds:
-        noncoercive_blockers.append("attainment")
     for n, verdict in restricted.items():
         if not verdict.holds:
             noncoercive_blockers.append(

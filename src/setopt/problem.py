@@ -26,6 +26,7 @@ that every grid-side layer reads instead of evaluating again.
 
 from __future__ import annotations
 
+import math
 import reprlib
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -40,6 +41,9 @@ from .setrel import PointCloudSet
 # Non-strict piece bounds absorb this band so that grid points produced
 # by linspace with ~1e-16 noise land on their intended branch.
 REGION_TOL = 1e-9
+
+# Largest grid a box domain may ask for; the grid is allocated whole.
+MAX_GRID_POINTS = 10**6
 
 SCHEMA_VERSION = "1"
 
@@ -116,6 +120,9 @@ class DomainGrid:
             raise ProblemValidationError(f"domain.resolution must be whole numbers >= 2, "
                                          f"got {reprlib.repr(counts.tolist())}")
         resolution = [int(r) for r in counts]
+        if math.prod(resolution) > MAX_GRID_POINTS:
+            raise ProblemValidationError(f"domain.resolution {reprlib.repr(counts.tolist())} asks "
+                                         f"for more than {MAX_GRID_POINTS:,} grid points")
         if box.ndim != 2 or box.shape[1] != 2 or len(resolution) != box.shape[0]:
             raise ProblemValidationError("box and resolution must agree per axis")
         axes = [np.linspace(lo, hi, r) for (lo, hi), r in zip(box, resolution)]
@@ -494,10 +501,12 @@ class SetValuedProblem:
     """A full instance: grid, map model, cone, tolerances, asserted flags.
 
     The store: `clouds` in grid order, and their rows stacked in
-    `cloud_points`, cloud i from row `cloud_starts[i]`.  Instances are
+    `cloud_points`, cloud i from row `cloud_starts[i]`; the generator
+    scores <w_j, p> of those rows in `cloud_scores`, and per cloud the
+    maximum of |w_j| . |p| in `cloud_magnitudes`.  Instances are
     immutable by convention after construction; the private cache holds
-    derived artifacts (generator scores, scalar field, domination matrix,
-    off-grid scalar values).
+    derived artifacts (scalar field, domination matrix, off-grid scalar
+    values).
     """
 
     grid: DomainGrid
@@ -509,6 +518,8 @@ class SetValuedProblem:
     clouds: list[PointCloudSet] = field(init=False, repr=False, compare=False)
     cloud_points: np.ndarray = field(init=False, repr=False, compare=False)
     cloud_starts: np.ndarray = field(init=False, repr=False, compare=False)
+    cloud_scores: np.ndarray = field(init=False, repr=False, compare=False)
+    cloud_magnitudes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # every grid point must produce a valid cloud of the cone's image dimension
@@ -524,16 +535,21 @@ class SetValuedProblem:
         sizes = np.array([len(c) for c in self.clouds])
         self.cloud_points = np.concatenate([c.points for c in self.clouds])
         self.cloud_starts = np.cumsum(sizes) - sizes
-
-    def cloud_scores(self) -> np.ndarray:
-        """(R, k) scores <w_j, b> of the stored points, computed on first use.
-
-        Not at construction, since scores can overflow where points do not.
-        """
-        scores = self._cache.get("cloud_scores")
-        if scores is None:
-            scores = self._cache["cloud_scores"] = self.cloud_points @ self.cone.dual_generators.T
-        return scores
+        w = self.cone.dual_generators
+        # twice every |p| and every |w| . |p| must stay finite, so that point
+        # differences, scores and score differences cannot overflow
+        abs_points = np.abs(self.cloud_points)
+        with np.errstate(over="ignore"):
+            mags = np.maximum.reduceat(abs_points @ np.abs(w).T, self.cloud_starts)
+        coords = np.maximum.reduceat(abs_points.max(axis=1), self.cloud_starts)
+        half = np.finfo(float).max / 2
+        large = np.maximum(mags.max(axis=1), coords) > half
+        if large.any():
+            raise ProblemValidationError(
+                f"map value at grid point {self.grid.points[np.argmax(large)].tolist()} is too "
+                f"large: coordinates and generator scores must not exceed {half:g}")
+        self.cloud_magnitudes = mags
+        self.cloud_scores = self.cloud_points @ w.T
 
 
 def evaluate(problem: SetValuedProblem, x) -> PointCloudSet:

@@ -97,7 +97,7 @@ def colevel(problem: SetValuedProblem, lam: float) -> np.ndarray:
 
     cone = problem.cone
     probe = (lam * cone.order_unit) @ cone.dual_generators.T
-    above = (problem.cloud_scores() - probe > cone.cone_tol).all(axis=1)
+    above = (problem.cloud_scores - probe > cone.cone_tol).all(axis=1)
     by_relation = ~np.logical_and.reduceat(above, problem.cloud_starts)
 
     disagree = np.flatnonzero(by_field != by_relation)

@@ -5,7 +5,11 @@ The lower set-less relation and its strict variant:
     A <=l B  iff  B is a subset of A + P
     A <l  B  iff  B is a subset of A + int P
 
-decided exactly for finite clouds by a pairwise inner-product scan.
+decided for finite clouds by testing every pair (a, b): b - a lies in P
+(int P) when <w, b - a> >= -cone_tol (> cone_tol) for every dual
+generator w.  `covers` is that test.  It is the oracle that
+`solver.domination_matrix` reproduces bit for bit, and the tie-breaker it
+calls on the pairs its rounding band cannot decide.
 """
 
 from __future__ import annotations

@@ -3,24 +3,27 @@
 Everything here rests on the strict domination matrix D, with D[i, j]
 true iff F(x_i) <l F(x_j), i.e. every b in F(x_j) has some a in F(x_i)
 with <w, b - a> > cone_tol for every dual generator w.  Both efficient
-sets are read off D.  D is built from the problem's stored clouds and,
-with one or two generators, its stored generator scores; the map is
-not evaluated again.
+sets are read off D.  D is built from the problem's stored clouds and
+generator scores; the map is not evaluated again.
 
-For cones with one or two generators D is built by a staircase kernel
-(Kung, Luccio & Preparata, J. ACM 1975): the generator scores of all R
-cloud points are computed once, each row sorts its own cloud by the first
-score and takes the prefix minimum of the second, and one searchsorted
-decides every point of every column.  That is O(N * R * log p) time and
-O(R) scratch memory per row.  The kernel compares score differences
-fl(S_b) - fl(S_a) where the oracle `setrel.covers` compares
-fl(<w, fl(b - a)>), so each row is decided at cone_tol +- band, where
-band bounds the gap between the two roundings.  A pair the two passes
-decide alike is decided the same way by the oracle; a pair they split
-is handed to `setrel.covers`.  D is therefore exactly what the pairwise
-oracle gives.  Cones with three or more generators use the pairwise
-scan over an (rows, pb, pa, m) tensor, with rows chunked to a fixed
-byte budget.  No threads are used.
+D is built in score space, one row at a time, for any number k of
+generators.  With the scores S = P @ W.T of all R cloud points computed
+once, b is covered by A iff some a in A has S_a < S_b - cone_tol in
+every generator.  That row test costs O(R) scratch memory.  With k <= 2
+it is a staircase (Kung, Luccio & Preparata, J. ACM 1975): each cloud is
+cut to its minimal points in score space, sorted by the first score
+with the prefix minimum of the second, and one searchsorted decides
+every point of every column, O(N * R * log p) time.  With k >= 3 the row
+cloud's points are compared one at a time, O(N * R * p * k) time.
+
+The kernel compares score differences fl(S_b) - fl(S_a) where the
+oracle `setrel.covers` compares fl(<w, fl(b - a)>), so each row is
+decided at cone_tol +- band, where band bounds the gap between the two
+roundings.  A pair the two passes decide alike is decided the same way
+by the oracle; a pair they split is handed to `setrel.covers`.  D is
+therefore exactly what the pairwise oracle gives.  The problem build
+rejects clouds whose scores or differences could overflow, so every
+threshold is finite.  No threads are used.
 """
 
 from __future__ import annotations
@@ -30,74 +33,55 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import setrel
-from .cone import ConeSpec
 from .errors import InternalConsistencyError
 from .problem import SetValuedProblem
 from .scalarizer import scalar_field
-
-# Byte budget for one block of the k >= 3 scan's (rows, pb, pa, m) tensors.
-SCAN_BYTES = 64 * 2**20
 
 
 def domination_matrix(problem: SetValuedProblem) -> np.ndarray:
     """Boolean matrix D with D[i, j] true iff F(x_i) <l F(x_j).
 
-    With k <= 2 dual generators (a single generator fills both slots) the
-    staircase kernel costs O(N * R * log p) for N grid points, R cloud
-    points in total and clouds of at most p points; only D itself is
-    N x N.  Scores S = P @ W.T are rounded once per point, so S_b - S_a
-    differs from the oracle's fl(<w, fl(b - a)>) by at most
-    band = 2 (m + 2) eps (M_i + M_j + cone_tol) per generator, where
-    M_i is the cloud maximum of |w| . |p| over F(x_i).  The threshold
+    One banded row loop serves every cone; only D itself is N x N.
+    Scores S = P @ W.T are rounded once per point, so S_b - S_a differs
+    from the oracle's fl(<w, fl(b - a)>) by at most
+    band = 2 (m + 2) eps (M_i + M_j + cone_tol) per generator, where M_i
+    is the cloud maximum of |w| . |p| over F(x_i).  The threshold
     arithmetic is inside that bound, which keeps a factor of two spare.
     A row is decided at cone_tol + band, where "covered" implies the
     oracle's verdict, and at cone_tol - band, where "not covered" does;
     pairs on which the two disagree are re-decided by `setrel.covers`,
-    so D equals the pairwise oracle bit for bit.  With k >= 3, or when
-    a score overflows, the pairwise scan is used, O(N^2 * p^2 * k) time,
-    in blocks of rows whose tensors fit in SCAN_BYTES.
+    so D equals the pairwise oracle bit for bit.  The covered test is a
+    staircase searchsorted with k <= 2 generators (a single generator
+    fills both slots) and a point-by-point comparison with k >= 3.
     """
     cached = problem._cache.get("domination_matrix")
     if cached is not None:
         return cached
-    if len(problem.cone.dual_generators) <= 2:
-        d = _staircase_matrix(problem)
-    else:
-        d = _scan_matrix([c.points for c in problem.clouds], problem.cone)
-    problem._cache["domination_matrix"] = d
-    return d
-
-
-def _staircase_matrix(problem: SetValuedProblem) -> np.ndarray:
     cone = problem.cone
-    w = cone.dual_generators  # (k, m), k <= 2
     tol = cone.cone_tol
     clouds = [c.points for c in problem.clouds]
     n = len(clouds)
-    sizes = np.array([len(c) for c in clouds])
+    sizes, starts = np.array([len(c) for c in clouds]), problem.cloud_starts
     owner = np.repeat(np.arange(n), sizes)
-    mags = np.maximum.reduceat(np.abs(problem.cloud_points) @ np.abs(w).T,
-                               problem.cloud_starts)  # (N, k)
-    if not np.isfinite(mags).all():
-        # overflowing scores would turn the thresholds into nan; the scan
-        # does the oracle's arithmetic and stays exact
-        return _scan_matrix(clouds, cone)
-    scores = problem.cloud_scores()  # (R, k)
-    if len(w) == 1:
+    scores, mags = problem.cloud_scores, problem.cloud_magnitudes  # (R, k), (N, k)
+    staircase = scores.shape[1] <= 2
+    if scores.shape[1] == 1:
         scores = np.repeat(scores, 2, axis=1)
         mags = np.repeat(mags, 2, axis=1)
-    # Only the minimal points of a cloud in score space matter on either
-    # side: a dominated b is covered whenever the point below it is, and a
-    # dominated a witnesses nothing the point below it does not.
-    keep = _staircase_points(scores, owner)
-    scores, owner = scores[keep], owner[keep]
-    sizes = np.bincount(owner, minlength=n)
-    starts = np.cumsum(sizes) - sizes
-    # cloud i's staircase: first score ascending, second strictly descending,
-    # and in `second` preceded by +inf for "no point of A is low enough"
-    first = scores[:, 0]
-    second = np.insert(scores[:, 1], starts, np.inf)
-    beta = 2 * (w.shape[1] + 2) * np.finfo(float).eps
+    if staircase:
+        # Only the minimal points of a cloud in score space matter on either
+        # side: a dominated b is covered whenever the point below it is, and a
+        # dominated a witnesses nothing the point below it does not.
+        keep = _staircase_points(scores, owner)
+        scores, owner = scores[keep], owner[keep]
+        sizes = np.bincount(owner, minlength=n)
+        starts = np.cumsum(sizes) - sizes
+        # cloud i's staircase: first score ascending, second strictly
+        # descending, and in `second` preceded by +inf for "no point of A
+        # is low enough"
+        first = scores[:, 0]
+        second = np.insert(scores[:, 1], starts, np.inf)
+    beta = 2 * (cone.dim_image + 2) * np.finfo(float).eps
     # thresholds[pass, generator, b] for pass 0 at cone_tol + band (covered
     # implies the oracle's verdict) and pass 1 at cone_tol - band (not
     # covered implies it); the row's half of the band is added per row
@@ -108,13 +92,19 @@ def _staircase_matrix(problem: SetValuedProblem) -> np.ndarray:
     d = np.empty((n, n), dtype=bool)
     for i, a in enumerate(clouds):
         lo, hi = starts[i], starts[i] + sizes[i]
-        t = thresholds + row_band[i]  # (2, 2, C)
-        below = np.searchsorted(first[lo:hi], t[:, 0])  # points with first score < t
-        covered = second[lo + i: hi + i + 1][below] < t[:, 1]
+        t = thresholds + row_band[i]  # (2, k, C)
+        if staircase:
+            below = np.searchsorted(first[lo:hi], t[:, 0])  # points with first score < t
+            covered = second[lo + i: hi + i + 1][below] < t[:, 1]
+        else:
+            covered = np.zeros((2, t.shape[2]), dtype=bool)
+            for s in scores[lo:hi]:
+                covered |= (s[:, None] < t).all(axis=1)
         strict, loose = np.logical_and.reduceat(covered, starts, axis=1)
         d[i] = strict
         for j in np.flatnonzero(strict != loose):
             d[i, j] = setrel.covers(a, clouds[j], cone, strict=True)
+    problem._cache["domination_matrix"] = d
     return d
 
 
@@ -132,26 +122,6 @@ def _staircase_points(scores: np.ndarray, owner: np.ndarray) -> np.ndarray:
     key = rank + (owner.max() - owner[order]) * (len(order) + 1)
     before = np.concatenate(([np.iinfo(key.dtype).max], np.minimum.accumulate(key)[:-1]))
     return order[key < before]
-
-
-def _scan_matrix(clouds: list[np.ndarray], cone: ConeSpec) -> np.ndarray:
-    w = cone.dual_generators
-    tol = cone.cone_tol
-    sizes = np.array([len(c) for c in clouds])
-    n, pa, m = len(clouds), sizes.max(), cone.dim_image
-    stack = np.zeros((n, pa, m))
-    for i, c in enumerate(clouds):
-        stack[i, : len(c)] = c
-    valid = np.arange(pa) < sizes[:, None]  # (n, pa): real points of each A
-    d = np.empty((n, n), dtype=bool)
-    for j, b in enumerate(clouds):
-        rows = max(1, SCAN_BYTES // (len(b) * pa * (8 * (m + len(w)) + 1)))
-        for r in range(0, n, rows):
-            diff = b[None, :, None, :] - stack[r: r + rows, None, :, :]  # (rows, pb, pa, m)
-            ok = ((diff @ w.T) > tol).all(axis=3)  # b - a in int P
-            ok &= valid[r: r + rows, None, :]
-            d[r: r + rows, j] = ok.any(axis=2).all(axis=1)  # exists a, for all b
-    return d
 
 
 def argmin_scalarized(problem: SetValuedProblem) -> np.ndarray:

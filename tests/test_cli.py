@@ -249,6 +249,8 @@ def _unreached_region(name, region):
                                   value=[float("nan")])),
     ("domain.resolution", _edited("decay_tail", "domain", "resolution", value=[float("inf")])),
     ("domain.resolution", _edited("ramp_gap", "domain", "resolution", value=[24.5])),
+    ("domain.resolution", _edited("parabola_interval", "domain", "resolution", value=[1e300])),
+    ("domain.resolution", _edited("hyperbola_escape", "domain", "resolution", value=[1e9])),
     ("tolerances.tie_toll", _edited("tradeoff_segment", "tolerances", "tie_toll", value=1e-9)),
     ("map.parameters.lower[0].fn.d", _edited(
         "decay_tail", "map", "parameters", "lower", 0, "fn", "d", value=1.0)),

@@ -5,8 +5,9 @@ from setopt import (ConeSpec, DomainGrid, MapModel,
                     ProblemValidationError, SetValuedProblem, check_asymptotic_gap,
                     check_attainment, check_coercivity, check_colevel_compact_at,
                     check_regular_global_inf, check_transfer_closed, existence_report)
-from setopt import colevel
+from setopt import colevel, colevel_at_set
 from setopt import fixtures as fixture_catalog
+from setopt.solver import domination_matrix
 
 from conftest import constant_problem
 
@@ -149,6 +150,18 @@ def test_colevel_compact_at_constant():
     assert verdict.status == "fails"
     # the disjunction still holds: every point of a constant map is efficient
     assert verdict.evidence["x0_strictly_efficient"] is True
+
+
+@pytest.mark.parametrize("name", sorted(fixture_catalog.FIXTURES))
+def test_colevel_at_set_is_a_row_of_the_domination_matrix(name):
+    # check_colevel_compact_at reads its colevel set off D; the pairwise
+    # route costs p^2 per pair, so hyperbola_escape keeps 200 of its samples
+    prob = fixture_catalog.build(name, **({"sample_size": 200} if name == "hyperbola_escape"
+                                         else {}))
+    d = domination_matrix(prob)
+    for i in np.unique(np.linspace(0, len(prob.grid) - 1, 6).astype(int)):
+        np.testing.assert_array_equal(colevel_at_set(prob, prob.clouds[i]),
+                                      np.flatnonzero(~d[i]))
 
 
 def test_existence_report_disc(shifted72):

@@ -1,13 +1,16 @@
 import copy
+import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setopt import (ConeSpec, DomainGrid, MapModel, SetValuedProblem, argmin_scalarized,
-                    build_problem, scalar_field, setrel, solve, solver,
+from setopt import (ConeSpec, DomainGrid, MapModel, ProblemValidationError, SetValuedProblem,
+                    argmin_scalarized, build_problem, fixtures, scalar_field, setrel, solve,
                     strict_weak_efficient_brute, strictly_lower_less, to_document,
                     weak_efficient_brute)
+from setopt.cli import main
 from setopt.sampling import random_problem
 from setopt.solver import domination_matrix
 
@@ -128,19 +131,19 @@ def test_domination_matrix_matches_pairwise_oracle(seed, interval):
 
 def test_fallback_decides_pairs_within_ulps_of_cone_tol(monkeypatch):
     calls = counted_covers(monkeypatch)
-    # the y offset of b - a keeps the other generator's score far from cone_tol
+    # the other coordinates of b - a keep the other generators' scores far
+    # from cone_tol
     for cone, dy in ((ConeSpec.orthant(1), None), (ConeSpec.orthant(2), 1.0),
-                     (ConeSpec(np.array([[1.0, 1.0], [1.0, -1.0]]), [1.0, 0.0]), 0.0)):
+                     (ConeSpec(np.array([[1.0, 1.0], [1.0, -1.0]]), [1.0, 0.0]), 0.0),
+                     (ConeSpec.orthant(3), 1.0)):
         clouds = []
         for bx in (0.3, 1.0, 3.7, 12.5, 1234.5, -7.1):
-            b = [bx] if dy is None else [bx, 0.6]
+            b = [bx] + [0.6] * (cone.dim_image - 1)
             clouds.append([b])
             # the x coordinate of b - a steps through cone_tol ulp by ulp of b
             for steps in range(-6, 7):
-                a = list(b)
-                a[0] = bx - cone.cone_tol + steps * np.spacing(bx)
-                if dy is not None:
-                    a[1] -= dy
+                a = [bx - cone.cone_tol + steps * np.spacing(bx)]
+                a += [y - dy for y in b[1:]]
                 clouds.append([a])
         prob = table_problem(clouds, cone)
         before = len(calls)
@@ -153,7 +156,7 @@ def test_fallback_decides_identical_large_clouds(monkeypatch):
     calls = counted_covers(monkeypatch)
     rng = np.random.default_rng(11)
     cones = (ConeSpec.orthant(1), ConeSpec.orthant(2),
-             ConeSpec(np.array([[1.0, 1.0], [1.0, -1.0]]), [1.0, 0.0]))
+             ConeSpec(np.array([[1.0, 1.0], [1.0, -1.0]]), [1.0, 0.0]), ConeSpec.orthant(3))
     for cone in cones:
         for scale in (1e3, 1e4, 1e5):
             cloud = rng.uniform(-scale, scale, (5, cone.dim_image))
@@ -166,35 +169,33 @@ def test_fallback_decides_identical_large_clouds(monkeypatch):
             np.testing.assert_array_equal(d, pairwise_oracle(prob))
 
 
-def test_overflowing_scores_match_oracle():
-    # b - a is finite and inside int P, but the scores of a and b overflow
+def test_clouds_that_can_overflow_are_rejected_at_build(capsys, tmp_path):
     cone = ConeSpec(np.array([[1.0, 1.0], [1.0, -1.0]]), [1.0, 0.0])
-    prob = table_problem([[[1e308 - 1e300, 1e308]], [[1e308, 1e308]]], cone)
-    with np.errstate(over="ignore"):
-        d = domination_matrix(prob)
-    assert d[0, 1]
-    np.testing.assert_array_equal(d, pairwise_oracle(prob))
+    half = np.finfo(float).max / 2
+    # a coordinate above half the largest float, then a score above it
+    for big in ([[1.0, 1.0]], [[1e308 - 1e300, 1e308]]), ([[1.0, 1.0]], [[0.6 * half] * 2]):
+        with pytest.raises(ProblemValidationError, match=r"grid point \[1.0\]"):
+            table_problem(big, cone)
+    # at the bound every difference stays finite and D is still the oracle's
+    prob = table_problem([[[0.5 * half] * 2], [[-0.5 * half] * 2], [[0.0, 0.0]]], cone)
+    np.testing.assert_array_equal(domination_matrix(prob), pairwise_oracle(prob))
+
+    doc = fixtures.document("shifted_disc")
+    doc["map"]["parameters"]["radius"] = 1e308
+    path = tmp_path / "huge_radius.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: map value at grid point")
 
 
-def test_scan_ignores_cloud_padding():
-    # under the negative orthant a far padding point would witness everything
+def test_negative_orthant3_matches_oracle():
+    # under the negative orthant the farthest point of a cloud is its best witness
     cone = ConeSpec(-np.eye(3), -np.ones(3))
     prob = table_problem([[[0.0, 0.0, 0.0]],
                           [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]],
                           [[5.0, 5.0, 5.0], [3.0, 1.0, 2.0], [-1.0, -1.0, -1.0]]], cone)
     np.testing.assert_array_equal(domination_matrix(prob), pairwise_oracle(prob))
-
-
-def test_scan_chunks_match_unchunked(monkeypatch):
-    rng = np.random.default_rng(5)
-    probs = [p for p in (random_problem(rng) for _ in range(30)) if p.cone.dim_image == 3]
-    assert probs
-    full = [domination_matrix(p) for p in probs]
-    for budget in (1, 5000):
-        monkeypatch.setattr(solver, "SCAN_BYTES", budget)
-        for prob, expected in zip(probs, full):
-            prob._cache.pop("domination_matrix")
-            np.testing.assert_array_equal(domination_matrix(prob), expected)
 
 
 def test_random_problems_inclusions():

@@ -210,10 +210,20 @@ def check_asymptotic_gap(problem: SetValuedProblem, directions=None,
 
     Coercive problems satisfy this trivially; a failing direction is one
     along which scalar values keep approaching the global infimum at
-    infinity.
+    infinity.  A report over the compass directions is kept on the
+    problem per ray schedule, so it is computed once per problem.
     """
     if directions is None:
-        directions = compass_directions(problem.grid.dim_domain)
+        key = ("asymptotic_gap", t_max, t_count)
+        if key not in problem._cache:
+            problem._cache[key] = _gap_report(
+                problem, compass_directions(problem.grid.dim_domain), t_max, t_count)
+        return problem._cache[key]
+    return _gap_report(problem, directions, t_max, t_count)
+
+
+def _gap_report(problem: SetValuedProblem, directions, t_max: float,
+                t_count: int) -> GapReport:
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     if len(directions) == 0:
         raise ProblemValidationError("directions must be nonempty")

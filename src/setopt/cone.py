@@ -55,14 +55,16 @@ class ConeSpec:
             )
         if not (np.isfinite(w).all() and np.isfinite(q).all()):
             raise ProblemValidationError("cone data must be finite")
-        norms = np.linalg.norm(w, axis=1)
-        if np.any(norms == 0.0):
+        if not w.any(axis=1).all():
             raise ProblemValidationError("dual generators must be nonzero")
         if self.cone_tol <= 0.0:
             raise ProblemValidationError("cone_tol must be positive")
-        unit_scores = w @ q
+        with np.errstate(over="ignore"):
+            unit_scores = w @ q
         if np.any(unit_scores <= self.cone_tol):
             raise ProblemValidationError("order unit not interior")
+        if not np.isfinite(unit_scores).all():
+            raise ProblemValidationError("generator scores <w, q> of the order unit overflow")
         object.__setattr__(self, "_unit_scores", unit_scores)
 
     @property

@@ -28,7 +28,7 @@ from .asymptotics import MARGIN_FACTOR, GapReport, check_asymptotic_gap, compass
 from .errors import InternalConsistencyError, ProblemValidationError
 from .problem import SetValuedProblem, jsonable
 from .scalarizer import colevel, scalar_field, scalar_value_at
-from .solver import domination_matrix, strict_weak_efficient_brute
+from .solver import domination_row, strict_weak_efficient_brute
 
 _REFINE_LEVELS = (0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625)
 _COERCIVITY_LADDER = 16  # halvings of lam_probe - inf probed for a bounded colevel set
@@ -323,7 +323,7 @@ def check_colevel_compact_at(problem: SetValuedProblem, x0) -> Verdict:
         return Verdict(status="inconclusive",
                        evidence={"limiting_resource": "no box metadata on the grid"})
     # row idx0 of D is F(x0) <l F(x); the colevel set is where it is false
-    members = np.flatnonzero(~domination_matrix(problem)[idx0])
+    members = np.flatnonzero(~domination_row(problem, idx0))
     bounded = _strictly_inside(problem, members)
     in_strict = idx0 in set(strict_weak_efficient_brute(problem).tolist())
     coercive = check_coercivity(problem).holds
@@ -393,9 +393,9 @@ class HypothesisReport:
 def existence_report(problem: SetValuedProblem) -> HypothesisReport:
     """Run all hypothesis checkers and declare which existence route applies.
 
-    Whenever a route is declared applicable the brute-force strict
-    solution set must be nonempty; a contradiction raises, since it would
-    mean the checkers accepted hypotheses the grid itself refutes.
+    Whenever a route is declared applicable the strict solution set must
+    be nonempty; a contradiction raises, since it would mean the checkers
+    accepted hypotheses the grid itself refutes.
     """
     attainment = check_attainment(problem)
     rgi = check_regular_global_inf(problem)
@@ -403,7 +403,7 @@ def existence_report(problem: SetValuedProblem) -> HypothesisReport:
     gap = check_asymptotic_gap(problem)
 
     max_norm = float(problem.grid.norms().max())
-    ns = [n for n in range(1, int(math.ceil(max_norm)) + 1)][:_MAX_RESTRICTIONS]
+    ns = range(1, min(math.ceil(max_norm), _MAX_RESTRICTIONS) + 1)
     restricted = {}
     for n in ns:
         if len(_restrict_indices(problem, float(n))) >= 2:
@@ -433,8 +433,8 @@ def existence_report(problem: SetValuedProblem) -> HypothesisReport:
     nonempty = len(strict) > 0
     if (coercive.applicable or noncoercive.applicable) and not nonempty:
         raise InternalConsistencyError(
-            "an existence route was declared applicable but the brute-force "
-            "strict solution set is empty"
+            "an existence route was declared applicable but the strict "
+            "solution set is empty"
         )
     sample = problem.grid.points[strict[: min(8, len(strict))]].tolist()
     notes = [

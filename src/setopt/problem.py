@@ -45,6 +45,10 @@ REGION_TOL = 1e-9
 # Largest grid a box domain may ask for; the grid is allocated whole.
 MAX_GRID_POINTS = 10**6
 
+# Largest grid coordinate: norms of and distances between grid points,
+# sums of squares, stay finite well beyond it.
+MAX_COORDINATE = 1e150
+
 SCHEMA_VERSION = "1"
 
 
@@ -87,8 +91,9 @@ class DomainGrid:
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         if pts.size == 0:
             raise ProblemValidationError("empty grid")
-        if not np.isfinite(pts).all():
-            raise ProblemValidationError("grid points must be finite")
+        if not (np.abs(pts) <= MAX_COORDINATE).all():
+            raise ProblemValidationError(
+                f"grid points must be finite, with coordinates of at most {MAX_COORDINATE:g}")
         # distinctness: exact duplicate rows are authoring errors
         if len(np.unique(pts, axis=0)) != len(pts):
             raise ProblemValidationError("grid points must be distinct")
@@ -125,6 +130,9 @@ class DomainGrid:
                                          f"for more than {MAX_GRID_POINTS:,} grid points")
         if box.ndim != 2 or box.shape[1] != 2 or len(resolution) != box.shape[0]:
             raise ProblemValidationError("box and resolution must agree per axis")
+        if not ((np.abs(box) <= MAX_COORDINATE).all() and (box[:, 0] < box[:, 1]).all()):
+            raise ProblemValidationError(f"domain.box must be one (lo, hi) pair per axis with "
+                                         f"lo < hi, within {MAX_COORDINATE:g}")
         axes = [np.linspace(lo, hi, r) for (lo, hi), r in zip(box, resolution)]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
@@ -502,11 +510,12 @@ class SetValuedProblem:
 
     The store: `clouds` in grid order, and their rows stacked in
     `cloud_points`, cloud i from row `cloud_starts[i]`; the generator
-    scores <w_j, p> of those rows in `cloud_scores`, and per cloud the
-    maximum of |w_j| . |p| in `cloud_magnitudes`.  Instances are
-    immutable by convention after construction; the private cache holds
-    derived artifacts (scalar field, domination matrix, off-grid scalar
-    values).
+    scores <w_j, p> of those rows in `cloud_scores`, per cloud the
+    maximum of |w_j| . |p| in `cloud_magnitudes`, and per cloud the
+    maximum over j of that over <w_j, q>, which bounds |psi| over the
+    cloud, in `cloud_psi_bounds`.  Instances are immutable by convention
+    after construction; the private cache holds derived artifacts (scalar
+    field, efficient sets, gap report, off-grid scalar values).
     """
 
     grid: DomainGrid
@@ -520,6 +529,7 @@ class SetValuedProblem:
     cloud_starts: np.ndarray = field(init=False, repr=False, compare=False)
     cloud_scores: np.ndarray = field(init=False, repr=False, compare=False)
     cloud_magnitudes: np.ndarray = field(init=False, repr=False, compare=False)
+    cloud_psi_bounds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # every grid point must produce a valid cloud of the cone's image dimension
@@ -536,19 +546,23 @@ class SetValuedProblem:
         self.cloud_points = np.concatenate([c.points for c in self.clouds])
         self.cloud_starts = np.cumsum(sizes) - sizes
         w = self.cone.dual_generators
-        # twice every |p| and every |w| . |p| must stay finite, so that point
-        # differences, scores and score differences cannot overflow
+        # twice every |p|, every |w| . |p| and every |w| . |p| / <w, q> must
+        # stay finite, so that point differences, scores, score differences
+        # and the scalarization psi with its rounding slack cannot overflow
         abs_points = np.abs(self.cloud_points)
         with np.errstate(over="ignore"):
             mags = np.maximum.reduceat(abs_points @ np.abs(w).T, self.cloud_starts)
+            psi_bounds = (mags / self.cone._unit_scores).max(axis=1)
         coords = np.maximum.reduceat(abs_points.max(axis=1), self.cloud_starts)
         half = np.finfo(float).max / 2
-        large = np.maximum(mags.max(axis=1), coords) > half
+        large = np.maximum(np.maximum(mags.max(axis=1), coords), psi_bounds) > half
         if large.any():
             raise ProblemValidationError(
                 f"map value at grid point {self.grid.points[np.argmax(large)].tolist()} is too "
-                f"large: coordinates and generator scores must not exceed {half:g}")
+                f"large: coordinates, generator scores and generator scores over <w, q> "
+                f"must not exceed {half:g}")
         self.cloud_magnitudes = mags
+        self.cloud_psi_bounds = psi_bounds
         self.cloud_scores = self.cloud_points @ w.T
 
 

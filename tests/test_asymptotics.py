@@ -3,8 +3,9 @@ import pytest
 
 from setopt import (ConeSpec, DomainGrid, MapModel, ProblemValidationError, RaySchedule,
                     SetValuedProblem, asymptotic_cone_estimate, asymptotic_value,
-                    check_asymptotic_gap, default_lambda_schedule, far_colevel_sample,
-                    horizon_outer_limit, lower_less, evaluate)
+                    check_asymptotic_gap, default_lambda_schedule, existence_report,
+                    far_colevel_sample, fixtures, horizon_outer_limit, lower_less, evaluate)
+from setopt import asymptotics
 
 
 
@@ -57,6 +58,22 @@ def test_gap_verdicts(decay, ramp, wedge):
     np.testing.assert_allclose(gap.witnesses, [[-1.0]])
     assert check_asymptotic_gap(ramp).holds
     assert check_asymptotic_gap(wedge).holds
+
+
+def test_gap_report_is_computed_once_per_problem(monkeypatch):
+    rays = []
+    real = asymptotics.asymptotic_value
+    monkeypatch.setattr(asymptotics, "asymptotic_value",
+                        lambda problem, schedule: rays.append(schedule) or real(problem, schedule))
+    decay = fixtures.build("decay_tail")
+    report = existence_report(decay)
+    horizon = horizon_outer_limit(decay, default_lambda_schedule(decay))
+    assert check_asymptotic_gap(decay) is report.asymptotic_gap
+    assert horizon.gap_holds is report.asymptotic_gap.holds is False
+    assert len(rays) == 2  # the two compass directions of a 1-D domain, once
+    # explicit directions are computed afresh
+    check_asymptotic_gap(decay, directions=[[1.0]])
+    assert len(rays) == 3
 
 
 def test_gap_requires_directions(decay):

@@ -1,10 +1,17 @@
+import contextlib
+import copy
+import io
 import json
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setopt import build_problem, fixtures, to_document
 from setopt.cli import main
+from setopt.sampling import random_problem
 
 
 @pytest.fixture(scope="module")
@@ -270,3 +277,75 @@ def test_malformed_document_exits_1_naming_its_path(path, make, capsys, tmp_path
     code, out, err = _run(capsys, ["solve", str(bad)])
     assert code == 1 and out == ""
     assert err.startswith("error:") and path in err
+
+
+def test_near_tied_table_solves_with_default_tolerances(capsys, tmp_path):
+    # psi differs by 1e-10, below tie_tol but far above delta = 5e-13: the
+    # argmin is the one point, and it is strictly efficient
+    doc = {"schema_version": "1",
+           "cone": {"dual_generators": [[1.0, 0.0], [0.0, 1.0]], "q": [1.0, 1.0]},
+           "domain": {"points": [[0.0], [1.0]]},
+           "map": {"kind": "table",
+                   "parameters": {"points": [[0.0], [1.0]],
+                                  "clouds": [[[0.0, 0.0]], [[1e-10, 1e-10]]]}}}
+    path = tmp_path / "near_tie.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["solve", str(path)])
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["argmin"] == [0.0] and report["strict_weak_efficient"] == [0.0]
+
+
+def _small_documents() -> list[dict]:
+    """Every fixture on a grid of at most 7 points per axis, and a table document."""
+    docs = []
+    for name in fixtures.FIXTURES:
+        kwargs = {"shifted_disc": {"samples": 12},
+                  "hyperbola_escape": {"sample_size": 16}}.get(name, {})
+        doc = fixtures.document(name, **kwargs)
+        if "resolution" in doc["domain"]:
+            doc["domain"]["resolution"] = [min(r, 7) for r in doc["domain"]["resolution"]]
+        docs.append(doc)
+    docs.append(to_document(random_problem(np.random.default_rng(3))))
+    return docs
+
+
+_JUNK = (None, True, "x", "", -1, 0, 2, 0.5, -0.5, 5e-324, -3e7, 1e154, 1e308, -1e308,
+         float("nan"), float("inf"), 2**70, [], {}, [0], [[0, 0]], [[1e308, -1e308]], [["x"]],
+         {"type": "x"})
+_SMALL_DOCUMENTS = _small_documents()
+
+
+def _mutate(doc, data) -> None:
+    """Replace a value with junk, or delete a key, somewhere in doc."""
+    node = doc
+    while True:
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                        else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            node = child
+        elif isinstance(node, dict) and data.draw(st.booleans()):
+            del node[key]
+            return
+        else:
+            node[key] = copy.deepcopy(data.draw(st.sampled_from(_JUNK)))
+            return
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mutated_documents_exit_0_or_1(tmp_path_factory, data):
+    doc = copy.deepcopy(data.draw(st.sampled_from(_SMALL_DOCUMENTS)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(doc, data)
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(doc))
+    command = data.draw(st.sampled_from([["solve"], ["scalarize"], ["colevel", "--lambda", "0"],
+                                         ["check", "--gap", "--coercivity"]]))
+    out, err = io.StringIO(), io.StringIO()
+    # any exception other than SetOptError escapes main and fails the test
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command[0], str(path), *command[1:]])
+    assert code in (0, 1), err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")

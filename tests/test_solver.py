@@ -1,5 +1,6 @@
 import copy
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,11 @@ from hypothesis import strategies as st
 
 from setopt import (ConeSpec, DomainGrid, MapModel, ProblemValidationError, SetValuedProblem,
                     argmin_scalarized, build_problem, fixtures, scalar_field, setrel, solve,
-                    strict_weak_efficient_brute, strictly_lower_less, to_document,
+                    solver, strict_weak_efficient_brute, strictly_lower_less, to_document,
                     weak_efficient_brute)
 from setopt.cli import main
-from setopt.sampling import random_problem
-from setopt.solver import domination_matrix
+from setopt.sampling import random_cone, random_problem
+from setopt.solver import domination_matrix, efficient_sets
 
 from conftest import constant_problem, coords_1d
 
@@ -103,9 +104,40 @@ def interval_problem(rng):
     return table_problem([[[a], [b]] for a, b in zip(lo, hi)], cone)
 
 
+def near_copy_problem(rng):
+    """Copies of one cloud at scale 1e3-1e5, each moved by about cone_tol.
+
+    At this scale the rounding of psi exceeds cone_tol: a copy can strictly
+    dominate another whose computed psi is no larger.
+    """
+    cone = random_cone(rng)
+    base = rng.uniform(-1.0, 1.0, (int(rng.integers(1, 4)), cone.dim_image))
+    base *= 10.0 ** rng.uniform(3.0, 5.0)
+    clouds = []
+    for _ in range(int(rng.integers(2, 12))):
+        moved = base + rng.normal(0.0, rng.choice([1e-12, 1e-11]), base.shape)
+        clouds.append(moved[rng.permutation(len(base))[:int(rng.integers(1, len(base) + 1))]])
+    return table_problem(clouds, cone)
+
+
 def pairwise_oracle(problem):
     clouds = [problem.map_model.cloud_at(x) for x in problem.grid.points]
     return np.array([[strictly_lower_less(a, b, problem.cone) for b in clouds] for a in clouds])
+
+
+def sets_from_matrix(d):
+    """The strict and the weak efficient set read off a domination matrix."""
+    weak = np.flatnonzero(((~d) | d.T).all(axis=0))
+    others = d.copy()
+    np.fill_diagonal(others, False)
+    return np.flatnonzero(~others.any(axis=0)), weak
+
+
+def assert_sweep_matches_matrix(prob):
+    strict, weak = efficient_sets(prob)
+    want_strict, want_weak = sets_from_matrix(domination_matrix(prob))
+    np.testing.assert_array_equal(strict, want_strict)
+    np.testing.assert_array_equal(weak, want_weak)
 
 
 def counted_covers(monkeypatch):
@@ -121,12 +153,15 @@ def counted_covers(monkeypatch):
     return calls
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.booleans())
-def test_domination_matrix_matches_pairwise_oracle(seed, interval):
-    rng = np.random.default_rng(seed)
-    prob = interval_problem(rng) if interval else random_problem(rng)
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([random_problem, interval_problem,
+                                                   near_copy_problem]))
+def test_domination_matrix_matches_pairwise_oracle(seed, make):
+    # random_problem and near_copy_problem draw their cone from orthant2,
+    # orthant3 and wedge
+    prob = make(np.random.default_rng(seed))
     np.testing.assert_array_equal(domination_matrix(prob), pairwise_oracle(prob))
+    assert_sweep_matches_matrix(prob)
 
 
 def test_fallback_decides_pairs_within_ulps_of_cone_tol(monkeypatch):
@@ -150,6 +185,7 @@ def test_fallback_decides_pairs_within_ulps_of_cone_tol(monkeypatch):
         d = domination_matrix(prob)
         assert len(calls) > before
         np.testing.assert_array_equal(d, pairwise_oracle(prob))
+        assert_sweep_matches_matrix(prob)
 
 
 def test_fallback_decides_identical_large_clouds(monkeypatch):
@@ -167,6 +203,7 @@ def test_fallback_decides_identical_large_clouds(monkeypatch):
             d = domination_matrix(prob)
             assert len(calls) > before
             np.testing.assert_array_equal(d, pairwise_oracle(prob))
+            assert_sweep_matches_matrix(prob)
 
 
 def test_clouds_that_can_overflow_are_rejected_at_build(capsys, tmp_path):
@@ -182,11 +219,72 @@ def test_clouds_that_can_overflow_are_rejected_at_build(capsys, tmp_path):
 
     doc = fixtures.document("shifted_disc")
     doc["map"]["parameters"]["radius"] = 1e308
-    path = tmp_path / "huge_radius.json"
-    path.write_text(json.dumps(doc))
-    assert main(["solve", str(path)]) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: map value at grid point")
+    # every score is below the bound, but one over <w, q> = 0.01 is not, and
+    # psi itself would overflow
+    small_unit = {"schema_version": "1",
+                  "cone": {"dual_generators": [[1.0, 0.0], [0.0, 1.0]], "q": [0.01, 0.01]},
+                  "domain": {"points": [[0.0], [1.0]]},
+                  "map": {"kind": "constant",
+                          "parameters": {"cloud": [[8e307, 1e307], [1.0, 2.0]]}}}
+    for name, doc in (("huge_radius", doc), ("small_unit", small_unit)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: map value at grid point")
+    assert "[0.0]" in err
+
+
+def test_sweep_window_absorbs_the_rounding_of_psi():
+    # b - a = (1.2e-12, 0) is strictly inside the wedge, yet psi = a1 - a2
+    # rounds at magnitude 16000, so the computed psi does not rise at all
+    cone = ConeSpec(np.array([[1.0, 1.0], [1.0, -1.0]]), [1.0, 0.0])
+    prob = table_problem([[[1220.5669713526906, 17280.89450740313]],
+                          [[1220.5669713526918, 17280.89450740313]]], cone)
+    assert domination_matrix(prob)[0, 1]
+    psi = scalar_field(prob).values
+    assert psi[1] == psi[0]
+    assert_sweep_matches_matrix(prob)
+    np.testing.assert_array_equal(strict_weak_efficient_brute(prob), [0])
+
+
+def test_sweep_reads_any_relation_the_psi_bound_allows(monkeypatch):
+    # Equal psi at magnitude 1e6: the rounding slack (~4e-9) exceeds delta
+    # (1e-12), so every pair lies in each other's window and the psi bound
+    # rules out no relation.  With the row test and `covers` replaced by an
+    # arbitrary relation, the sweep must read the same sets off it as the
+    # matrix does, including removed columns that dominate every dominator
+    # back.
+    rng = np.random.default_rng(7)
+    relation = None
+    monkeypatch.setattr(solver._RowTest, "__call__", lambda self, i, cols: relation[i, cols])
+    split = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 10))
+        prob = table_problem([[[1e6 + k, 1e6]] for k in range(n)], ConeSpec.orthant(2))
+        index = {id(c.points): k for k, c in enumerate(prob.clouds)}
+        monkeypatch.setattr(setrel, "covers", lambda a, b, cone, strict:
+                            bool(relation[index[id(a)], index[id(b)]]))
+        relation = rng.random((n, n)) < rng.uniform(0.05, 0.7)
+        assert_sweep_matches_matrix(prob)
+        split += len(weak_efficient_brute(prob)) > len(strict_weak_efficient_brute(prob))
+    assert split > 0
+
+
+def test_solve_memory_grows_linearly():
+    peaks = []
+    for n in (4001, 8001):
+        doc = fixtures.document("decay_tail")
+        doc["domain"]["resolution"] = [n]
+        prob = build_problem(doc)
+        tracemalloc.start()
+        try:
+            solve(prob)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # an N x N matrix would quadruple the peak
+    assert peaks[1] < 3 * peaks[0]
 
 
 def test_negative_orthant3_matches_oracle():

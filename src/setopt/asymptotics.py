@@ -71,18 +71,6 @@ class AsymptoticEstimate:
     max_snap_distance: float
     constant_direction_surrogate: bool = True
 
-    def to_dict(self) -> dict:
-        return {
-            "direction": self.direction.tolist(),
-            "value": self.value,
-            "trend": self.trend,
-            "snapped_to_grid": self.snapped_to_grid,
-            "max_snap_distance": self.max_snap_distance,
-            "constant_direction_surrogate": self.constant_direction_surrogate,
-            "t_values": self.t_values.tolist(),
-            "liminf_trace": self.liminf_trace.tolist(),
-        }
-
 
 def compass_directions(n: int) -> np.ndarray:
     """A fixed lattice of unit directions used for sampling at infinity."""
@@ -188,19 +176,9 @@ class GapReport:
     holds: bool
     inf_value: float
     margin: float
-    estimates: list[AsymptoticEstimate]
+    estimates: list[AsymptoticEstimate] = field(metadata={"json": "per_direction"})
     witnesses: list[np.ndarray]
     sampling_note: str
-
-    def to_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "inf_value": self.inf_value,
-            "margin": self.margin,
-            "witnesses": [w.tolist() for w in self.witnesses],
-            "sampling_note": self.sampling_note,
-            "per_direction": [e.to_dict() for e in self.estimates],
-        }
 
 
 def check_asymptotic_gap(problem: SetValuedProblem, directions=None,
@@ -278,16 +256,6 @@ class HorizonReport:
     gap_holds: bool
     consistent_with_gap: bool
     resolution_limited: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "directions": self.directions.tolist(),
-            "lambda_schedule": self.lambda_schedule.tolist(),
-            "radius_threshold": self.radius_threshold,
-            "gap_holds": self.gap_holds,
-            "consistent_with_gap": self.consistent_with_gap,
-            "resolution_limited": self.resolution_limited,
-        }
 
 
 def default_lambda_schedule(problem: SetValuedProblem,

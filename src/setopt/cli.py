@@ -3,6 +3,8 @@
 Subcommands: solve, scalarize, colevel, asymptotic, check, oracle,
 fixtures.  Reports are JSON with sorted keys and shortest round-trip
 float formatting, so identical inputs produce byte-identical output.
+Every report is written by `_emit`, the one place that knows how report
+objects, numpy arrays and numpy scalars become JSON.
 Exit codes: 0 success, 1 validation or usage error, 2 internal
 consistency violation.
 """
@@ -10,6 +12,7 @@ consistency violation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -25,7 +28,7 @@ from .diagnostics import (check_coercivity, check_colevel_compact_at,
                           check_regular_global_inf, check_transfer_closed,
                           existence_report)
 from .errors import InternalConsistencyError, SetOptError
-from .problem import build_problem, jsonable
+from .problem import build_problem
 from .sampling import random_cone, random_point, random_problem
 from .scalarizer import colevel_points, scalar_field
 from .solver import argmin_scalarized, scalar_table, solve, strict_weak_efficient_brute
@@ -40,8 +43,22 @@ class _Parser(argparse.ArgumentParser):
         raise CLIUsageError(message)
 
 
+def _json_value(obj):
+    """The JSON form of a value json cannot encode: a numpy array or scalar, or a report.
+
+    A report dataclass becomes an object of its fields, each under its
+    field name or under the key its field metadata gives as "json".
+    """
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.metadata.get("json", f.name): getattr(obj, f.name)
+                for f in dataclasses.fields(obj)}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _emit(obj) -> None:
-    print(json.dumps(jsonable(obj), sort_keys=True, indent=2))
+    print(json.dumps(obj, sort_keys=True, indent=2, default=_json_value))
 
 
 def _load_problem(path: str):
@@ -103,11 +120,10 @@ def _cmd_asymptotic(args) -> int:
     directions = [_parse_vector(d) for d in args.direction] if args.direction else None
     gap = check_asymptotic_gap(problem, directions=directions,
                                t_max=args.t_max, t_count=args.t_count)
-    out = {"gap": gap.to_dict()}
+    out = {"gap": gap}
     if args.horizon:
         schedule = default_lambda_schedule(problem, count=args.lambda_count)
-        out["horizon"] = horizon_outer_limit(problem, schedule,
-                                             radius_threshold=args.threshold).to_dict()
+        out["horizon"] = horizon_outer_limit(problem, schedule, radius_threshold=args.threshold)
     if args.csv and directions:
         lines = ["direction,t,value"]
         for e in gap.estimates:
@@ -126,18 +142,18 @@ def _cmd_check(args) -> int:
                                or args.transfer or args.compact_at)
     out = {}
     if run_all:
-        out["report"] = existence_report(problem).to_dict()
+        out["report"] = existence_report(problem)
     if args.rgi:
-        out["regular_global_inf"] = check_regular_global_inf(problem).to_dict()
+        out["regular_global_inf"] = check_regular_global_inf(problem)
     if args.coercivity:
-        out["coercivity"] = check_coercivity(problem).to_dict()
+        out["coercivity"] = check_coercivity(problem)
     if args.gap:
-        out["asymptotic_gap"] = check_asymptotic_gap(problem).to_dict()
+        out["asymptotic_gap"] = check_asymptotic_gap(problem)
     if args.transfer:
-        out["transfer_closed"] = check_transfer_closed(problem).to_dict()
+        out["transfer_closed"] = check_transfer_closed(problem)
     if args.compact_at:
         x0 = _parse_vector(args.compact_at)
-        out["colevel_compact_at"] = check_colevel_compact_at(problem, x0).to_dict()
+        out["colevel_compact_at"] = check_colevel_compact_at(problem, x0)
     _emit(out)
     return 0
 

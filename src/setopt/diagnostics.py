@@ -26,7 +26,7 @@ import numpy as np
 
 from .asymptotics import MARGIN_FACTOR, GapReport, check_asymptotic_gap, compass_directions
 from .errors import InternalConsistencyError, ProblemValidationError
-from .problem import SetValuedProblem, jsonable
+from .problem import SetValuedProblem
 from .scalarizer import colevel, scalar_field, scalar_value_at
 from .solver import domination_row, strict_weak_efficient_brute
 
@@ -45,14 +45,6 @@ class Verdict:
     @property
     def holds(self) -> bool:
         return self.status == "holds"
-
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "witness": self.witness,
-            "evidence": jsonable(self.evidence),
-            "caveats": list(self.caveats),
-        }
 
 
 def _margin(problem: SetValuedProblem) -> float:
@@ -317,7 +309,7 @@ def check_coercivity(problem: SetValuedProblem, lam_probe: float | None = None) 
 
 def check_colevel_compact_at(problem: SetValuedProblem, x0) -> Verdict:
     """Boundedness of the colevel set at height F(x0), with the cross-check
-    that a bounded outcome forces x0 efficient or the problem coercive."""
+    that the set holds x0 and a strictly efficient point."""
     idx0 = problem.grid.locate(x0)
     if problem.grid.box is None:
         return Verdict(status="inconclusive",
@@ -325,8 +317,14 @@ def check_colevel_compact_at(problem: SetValuedProblem, x0) -> Verdict:
     # row idx0 of D is F(x0) <l F(x); the colevel set is where it is false
     members = np.flatnonzero(~domination_row(problem, idx0))
     bounded = _strictly_inside(problem, members)
-    in_strict = idx0 in set(strict_weak_efficient_brute(problem).tolist())
+    strict = strict_weak_efficient_brute(problem)
+    in_strict = idx0 in strict
     coercive = check_coercivity(problem).holds
+    # <l is irreflexive, so x0 is a member; it is transitive, so a <l-minimal
+    # member is minimal on the whole grid, that is, strictly efficient
+    if idx0 not in members or not np.isin(members, strict).any():
+        raise InternalConsistencyError(
+            "the colevel set at F(x0) misses x0 or every strictly efficient point")
     evidence = {
         "colevel_size": int(len(members)),
         "x0": problem.grid.points[idx0],
@@ -339,11 +337,6 @@ def check_colevel_compact_at(problem: SetValuedProblem, x0) -> Verdict:
         evidence["reason"] = "colevel set at F(x0) touches the domain box"
         return Verdict(status="fails", witness=problem.grid.points[idx0].tolist(),
                        evidence=evidence)
-    if not (in_strict or coercive):
-        raise InternalConsistencyError(
-            "bounded colevel at F(x0) but x0 is not strictly efficient and "
-            "no coercive colevel set was found"
-        )
     return Verdict(status="holds", evidence=evidence)
 
 
@@ -356,9 +349,6 @@ class TheoremVerdict:
     applicable: bool
     blocked_by: list
 
-    def to_dict(self) -> dict:
-        return {"applicable": self.applicable, "blocked_by": list(self.blocked_by)}
-
 
 @dataclass(frozen=True)
 class HypothesisReport:
@@ -368,26 +358,11 @@ class HypothesisReport:
     asymptotic_gap: GapReport
     restricted_rgi: dict
     k_q_set_asserted: bool
-    coercive: TheoremVerdict
-    noncoercive: TheoremVerdict
+    coercive: TheoremVerdict = field(metadata={"json": "coercive_theorem"})
+    noncoercive: TheoremVerdict = field(metadata={"json": "noncoercive_theorem"})
     strict_solutions_nonempty: bool
     strict_solution_sample: list
     notes: list
-
-    def to_dict(self) -> dict:
-        return {
-            "attainment": self.attainment.to_dict(),
-            "regular_global_inf": self.regular_global_inf.to_dict(),
-            "coercivity": self.coercivity.to_dict(),
-            "asymptotic_gap": self.asymptotic_gap.to_dict(),
-            "restricted_rgi": {str(n): v.to_dict() for n, v in self.restricted_rgi.items()},
-            "k_q_set_asserted": self.k_q_set_asserted,
-            "coercive_theorem": self.coercive.to_dict(),
-            "noncoercive_theorem": self.noncoercive.to_dict(),
-            "strict_solutions_nonempty": self.strict_solutions_nonempty,
-            "strict_solution_sample": jsonable(self.strict_solution_sample),
-            "notes": list(self.notes),
-        }
 
 
 def existence_report(problem: SetValuedProblem) -> HypothesisReport:

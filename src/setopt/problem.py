@@ -26,6 +26,8 @@ that every grid-side layer reads instead of evaluating again.
 
 from __future__ import annotations
 
+import itertools
+import json
 import math
 import reprlib
 from collections.abc import Callable
@@ -210,12 +212,22 @@ def _numeric(value, path: str, scalar: bool = False):
     """value as a float (scalar) or a float array, or an error naming its document path.
 
     Every number a document supplies is converted here, so a malformed one
-    fails validation instead of escaping as a numpy or builtin error.
+    fails validation instead of escaping as a numpy or builtin error.  A
+    JSON boolean is not a number, at any depth, although Python and numpy
+    would convert it to 0.0 or 1.0.
     """
     try:
-        return float(value) if scalar else np.asarray(value, dtype=float)
+        number = float(value) if scalar else np.asarray(value, dtype=float)
     except (TypeError, ValueError):
-        pass
+        number = None
+    if number is not None:
+        # the conversion succeeded, so value nests lists exactly ndim deep
+        ndim = np.ndim(number)
+        leaves = value if ndim else [value]
+        for _ in range(ndim - 1):
+            leaves = itertools.chain.from_iterable(leaves)
+        if bool not in map(type, leaves):
+            return number
     raise ProblemValidationError(f"{path} must be numeric, got {reprlib.repr(value)}")
 
 
@@ -488,20 +500,8 @@ class MapModel:
         return list(self._notes)
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "parameters": jsonable(self.params)}
-
-
-def jsonable(obj):
-    """obj with numpy arrays and scalars replaced by plain JSON values."""
-    if isinstance(obj, dict):
-        return {k: jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return jsonable(obj.tolist())
-    if isinstance(obj, np.generic):
-        return obj.item()
-    return obj
+        # a plain-JSON copy, so the document written back shares nothing with params
+        return {"kind": self.kind, "parameters": json.loads(json.dumps(self.params))}
 
 
 @dataclass

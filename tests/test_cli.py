@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setopt import build_problem, fixtures, to_document
-from setopt.cli import main
+from setopt import build_problem, check_asymptotic_gap, fixtures, to_document
+from setopt.cli import _emit, main
 from setopt.sampling import random_problem
 
 
@@ -108,6 +108,18 @@ def test_deterministic_output(fixture_dir, capsys):
     _, first, _ = _run(capsys, ["solve", str(fixture_dir / "wedge_strip.json")])
     _, second, _ = _run(capsys, ["solve", str(fixture_dir / "wedge_strip.json")])
     assert first == second
+
+
+def test_emit_encodes_reports_and_numpy_values_only(capsys):
+    gap = check_asymptotic_gap(fixtures.build("decay_tail"), directions=[[1.0]])
+    _emit({"gap": gap, "flag": np.bool_(True), "count": np.int64(3)})
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["flag"] is True and doc["count"] == 3
+    assert set(doc["gap"]) == {"holds", "inf_value", "margin", "per_direction", "witnesses",
+                               "sampling_note"}
+    assert doc["gap"]["per_direction"][0]["direction"] == [1.0]
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        _emit({"points": {1.0}})
 
 
 def test_error_exit_codes(fixture_dir, capsys, tmp_path):
@@ -270,6 +282,9 @@ def _unreached_region(name, region):
         "tradeoff_segment", {"where": {"type": "bogus"}, "cloud": {"points": [[0.0, 0.0]]}})),
     ("map.parameters.regions[2].cloud.points", _unreached_region(
         "wedge_strip", {"cloud": {"points": []}})),
+    ("tolerances.tie_tol", _edited("tradeoff_segment", "tolerances", "tie_tol", value=True)),
+    ("domain.box", _edited("kinked_interval", "domain", "box", value=[[True, 3.0]])),
+    ("domain.resolution", _edited("wedge_strip", "domain", "resolution", value=[True])),
 ])
 def test_malformed_document_exits_1_naming_its_path(path, make, capsys, tmp_path):
     bad = tmp_path / "bad.json"
@@ -277,6 +292,17 @@ def test_malformed_document_exits_1_naming_its_path(path, make, capsys, tmp_path
     code, out, err = _run(capsys, ["solve", str(bad)])
     assert code == 1 and out == ""
     assert err.startswith("error:") and path in err
+
+
+def test_compact_at_holds_under_a_wide_tie_band(capsys, tmp_path):
+    # tie_tol widens the colevel sets the coercivity check probes, not the
+    # relation's colevel set at F(x0), so the two need not agree
+    path = tmp_path / "wide_tie.json"
+    path.write_text(json.dumps(_edited("ramp_gap", "tolerances", "tie_tol", value=1.0)()))
+    code, out, err = _run(capsys, ["check", str(path), "--compact-at", "0"])
+    assert code == 0, err
+    evidence = json.loads(out)["colevel_compact_at"]["evidence"]
+    assert evidence["compactness_implication_active"] is True
 
 
 def test_near_tied_table_solves_with_default_tolerances(capsys, tmp_path):
@@ -296,8 +322,9 @@ def test_near_tied_table_solves_with_default_tolerances(capsys, tmp_path):
     assert report["argmin"] == [0.0] and report["strict_weak_efficient"] == [0.0]
 
 
-def _small_documents() -> list[dict]:
-    """Every fixture on a grid of at most 7 points per axis, and a table document."""
+def _small_documents() -> list[tuple[dict, str]]:
+    """Every fixture on a grid of at most 7 points per axis, and a table document,
+    each with its first grid point as a `--compact-at` argument."""
     docs = []
     for name in fixtures.FIXTURES:
         kwargs = {"shifted_disc": {"samples": 12},
@@ -307,7 +334,8 @@ def _small_documents() -> list[dict]:
             doc["domain"]["resolution"] = [min(r, 7) for r in doc["domain"]["resolution"]]
         docs.append(doc)
     docs.append(to_document(random_problem(np.random.default_rng(3))))
-    return docs
+    return [(doc, "--compact-at=" + ",".join(map(repr, build_problem(doc).grid.points[0].tolist())))
+            for doc in docs]
 
 
 _JUNK = (None, True, "x", "", -1, 0, 2, 0.5, -0.5, 5e-324, -3e7, 1e154, 1e308, -1e308,
@@ -336,13 +364,14 @@ def _mutate(doc, data) -> None:
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_mutated_documents_exit_0_or_1(tmp_path_factory, data):
-    doc = copy.deepcopy(data.draw(st.sampled_from(_SMALL_DOCUMENTS)))
+    doc, compact_at = copy.deepcopy(data.draw(st.sampled_from(_SMALL_DOCUMENTS)))
     for _ in range(data.draw(st.integers(1, 3))):
         _mutate(doc, data)
     path = tmp_path_factory.getbasetemp() / "mutated.json"
     path.write_text(json.dumps(doc))
     command = data.draw(st.sampled_from([["solve"], ["scalarize"], ["colevel", "--lambda", "0"],
-                                         ["check", "--gap", "--coercivity"]]))
+                                         ["check", "--gap", "--coercivity"],
+                                         ["check", compact_at]]))
     out, err = io.StringIO(), io.StringIO()
     # any exception other than SetOptError escapes main and fails the test
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -6,8 +6,9 @@ from setopt import (ConeSpec, DomainGrid, MapModel,
                     check_attainment, check_coercivity, check_colevel_compact_at,
                     check_regular_global_inf, check_transfer_closed, existence_report)
 from setopt import colevel, colevel_at_set
+from setopt import InternalConsistencyError
 from setopt import fixtures as fixture_catalog
-from setopt.solver import domination_matrix
+from setopt.solver import domination_matrix, strict_weak_efficient_brute
 
 from conftest import constant_problem
 
@@ -150,6 +151,19 @@ def test_colevel_compact_at_constant():
     assert verdict.status == "fails"
     # the disjunction still holds: every point of a constant map is efficient
     assert verdict.evidence["x0_strictly_efficient"] is True
+
+
+# x0 = 2.0, the last grid point, is not strictly efficient
+@pytest.mark.parametrize("dominated", [
+    lambda n, strict: np.arange(n) == n - 1,    # a row that drops x0 only
+    lambda n, strict: np.isin(np.arange(n), strict),  # one that drops every strict point only
+])
+def test_colevel_compact_at_raises_on_a_row_the_relation_cannot_give(tradeoff, monkeypatch,
+                                                                     dominated):
+    row = dominated(len(tradeoff.grid), strict_weak_efficient_brute(tradeoff))
+    monkeypatch.setattr("setopt.diagnostics.domination_row", lambda problem, i: row)
+    with pytest.raises(InternalConsistencyError, match="misses x0 or every strictly efficient"):
+        check_colevel_compact_at(tradeoff, [2.0])
 
 
 @pytest.mark.parametrize("name", sorted(fixture_catalog.FIXTURES))

@@ -2,9 +2,12 @@
 
 The files under golden/ were recorded before the evaluated-cloud store
 replaced per-layer map evaluation (the `solve` files before the
-staircase domination kernel), so any output either change moves shows
-up here.  Each colevel case uses one height strictly between the
-fixture's scalar infimum and its maximum over the grid.
+staircase domination kernel, the `compact_at` and `directions` files
+before reports were encoded by one JSON hook), so any output those
+changes move shows up here.  Each colevel case uses one height strictly
+between the fixture's scalar infimum and its maximum over the grid;
+each compact-at case uses one grid point, and together they cover the
+holds and the fails verdict.
 """
 
 import pathlib
@@ -35,6 +38,24 @@ SUBCOMMANDS = {
 }
 
 
+COMPACT_AT = {
+    "decay_tail": "0",
+    "hyperbola_escape": "0",
+    "kinked_interval": "0",
+    "parabola_interval": "1",
+    "ramp_gap": "0",
+    "shifted_disc": "1,0",
+    "tradeoff_segment": "0.5",
+    "wedge_strip": "0",
+}
+
+# the ray report over directions given on the command line, not the cached compass report
+DIRECTIONS = {
+    "decay_tail": ["--direction", "1", "--direction", "-1"],
+    "shifted_disc": ["--direction=1,0", "--direction=-1,0"],
+}
+
+
 @pytest.fixture(scope="module")
 def fixture_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("fixtures")
@@ -58,6 +79,18 @@ def test_solve_matches_golden(name, fixture_dir, capsys):
 def test_subcommand_matches_golden(name, command, fixture_dir, capsys):
     argv = [command, str(fixture_dir / f"{name}.json"), *SUBCOMMANDS[command](name)]
     assert _stdout(argv, capsys) == (GOLDEN / f"{name}.{command}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(COMPACT_AT))
+def test_compact_at_matches_golden(name, fixture_dir, capsys):
+    argv = ["check", str(fixture_dir / f"{name}.json"), f"--compact-at={COMPACT_AT[name]}"]
+    assert _stdout(argv, capsys) == (GOLDEN / f"{name}.compact_at.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(DIRECTIONS))
+def test_directions_match_golden(name, fixture_dir, capsys):
+    argv = ["asymptotic", str(fixture_dir / f"{name}.json"), *DIRECTIONS[name]]
+    assert _stdout(argv, capsys) == (GOLDEN / f"{name}.directions.json").read_bytes()
 
 
 def test_oracle_matches_golden(capsys):

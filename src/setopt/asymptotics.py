@@ -153,7 +153,9 @@ def asymptotic_value(problem: SetValuedProblem, schedule: RaySchedule) -> Asympt
         trend = "decreasing"
     else:
         trend = "stable"
-    if value < global_inf(problem) - tie:
+    # a snapped trace holds grid values only; an analytic ray runs past the
+    # grid, where psi may fall below the grid's infimum
+    if snapped and value < global_inf(problem) - tie:
         raise InternalConsistencyError(
             f"asymptotic estimate {value} fell below the global infimum "
             f"{global_inf(problem)}"

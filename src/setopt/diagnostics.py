@@ -8,12 +8,14 @@ limiting resource.
 The regular-global-inf and transfer-closedness checkers have to
 distinguish genuine failures (a minimizing sequence piling up against a
 point whose own value stays high) from one-grid-step artifacts around an
-attained minimizer.  On a fixed grid the two look identical, so for
-analytic map kinds the checkers refine locally below the grid step:
-artifacts dissolve under refinement, genuine witnesses persist with
-values at the infimum arbitrarily close to the witness.  The unrestricted
-and the norm-ball checks refine around the same candidates; the probes
-read `scalar_value_at`, which keeps each off-grid value, so a probe point
+attained minimizer.  On a fixed grid the two look identical, so both
+refine below the grid step around the collar of a low set: the
+non-members within one grid step of a member on every axis (the 3^d - 1
+lattice neighbours of each member on a box grid).  Regular-global-inf
+takes the near-infimum set inside its norm ball, transfer closedness the
+colevel set at the smallest sampled height, and one refinement verdict
+(`_refine`) classifies every collar point for both.  The probes read
+`scalar_value_at`, which keeps each off-grid value, so a probe point
 costs one map evaluation per problem however often it is revisited.
 """
 
@@ -67,17 +69,12 @@ def check_attainment(problem: SetValuedProblem) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# regular-global-inf
+# regular-global-inf, and the collar and refinement it shares with transfer
 # ---------------------------------------------------------------------------
 
-def _restrict_indices(problem: SetValuedProblem, restrict_norm: float | None) -> np.ndarray:
-    if restrict_norm is None:
-        return np.arange(len(problem.grid))
-    return np.flatnonzero(problem.grid.norms() <= restrict_norm + 1e-12)
-
-
-def _inside_domain(problem: SetValuedProblem, pts: np.ndarray,
-                   restrict_norm: float | None) -> np.ndarray:
+def _domain_mask(problem: SetValuedProblem, pts: np.ndarray,
+                 restrict_norm: float | None) -> np.ndarray:
+    """Which of pts lie in the grid's box, if any, and in the norm ball, if given."""
     keep = np.ones(len(pts), dtype=bool)
     if problem.grid.box is not None:
         lo, hi = problem.grid.box[:, 0], problem.grid.box[:, 1]
@@ -85,6 +82,26 @@ def _inside_domain(problem: SetValuedProblem, pts: np.ndarray,
     if restrict_norm is not None:
         keep &= np.linalg.norm(pts, axis=1) <= restrict_norm + 1e-12
     return keep
+
+
+def _collar(problem: SetValuedProblem, members: np.ndarray) -> np.ndarray:
+    """Sorted indices of the non-members within one grid step of a member on every axis.
+
+    This one-step Chebyshev dilation is the grid surrogate of a closure;
+    on a box grid it adds the 3^d - 1 lattice neighbours of each member.
+    """
+    pts = problem.grid.points
+    steps = problem.grid.step_estimate()
+    outside = np.setdiff1d(np.arange(len(pts)), members)
+    inner, outer = pts[members], pts[outside]
+    if len(members) <= len(outside):  # loop over the smaller side
+        near = np.zeros(len(outside), dtype=bool)
+        for p in inner:
+            near |= np.max(np.abs(outer - p) / steps, axis=1) <= 1.01
+    else:
+        near = np.array([np.any(np.max(np.abs(inner - p) / steps, axis=1) <= 1.01)
+                         for p in outer], dtype=bool)
+    return outside[near]
 
 
 def _probe_ring(x0: np.ndarray, r: float) -> np.ndarray:
@@ -96,17 +113,38 @@ def _probe_ring(x0: np.ndarray, r: float) -> np.ndarray:
     return np.vstack([x0 + r * ring, x0 + 0.5 * r * ring])
 
 
-def _refined_local_minima(problem: SetValuedProblem, x0: np.ndarray, radii: np.ndarray,
-                          restrict_norm: float | None) -> list[float]:
-    """Minimum scalar value near x0 at each sub-step radius, smallest last."""
+def _refine(problem: SetValuedProblem, x0: np.ndarray, level: float,
+            restrict_norm: float | None) -> tuple[str | None, list[float]]:
+    """Refine below the grid step around x0; returns (verdict, minima trace).
+
+    The trace holds the least probe value inside the domain per sub-step
+    radius, smallest radius last.  The verdict is "witness" if its last
+    entry is at most `level`; "unresolved" for a table map, for no probe
+    inside the domain, or for minima still descending at the floor; else None.
+    """
+    if not problem.map_model.is_analytic:
+        return "unresolved", []
     minima = []
-    for r in radii:
+    for r in float(problem.grid.step_estimate().max()) * np.asarray(_REFINE_LEVELS):
         probes = _probe_ring(x0, float(r))
-        probes = probes[_inside_domain(problem, probes, restrict_norm)]
-        if len(probes) == 0:
-            continue
-        minima.append(min(scalar_value_at(problem, p) for p in probes))
-    return minima
+        probes = probes[_domain_mask(problem, probes, restrict_norm)]
+        if len(probes):
+            minima.append(min(scalar_value_at(problem, p) for p in probes))
+    if not minima:
+        return "unresolved", minima
+    if minima[-1] <= level:
+        return "witness", minima
+    tie = problem.tolerances.tie_tol
+    if len(minima) >= 3 and minima[-1] < minima[-2] - tie and minima[-2] < minima[-3] - tie:
+        return "unresolved", minima  # still descending toward the level
+    return None, minima
+
+
+def _inconclusive(problem: SetValuedProblem, evidence: dict, unresolved: list) -> Verdict:
+    evidence["limiting_resource"] = "refinement floor" if problem.map_model.is_analytic \
+        else "grid resolution (map not refinable off the grid)"
+    evidence["suspicious_points"] = [u.tolist() for u in unresolved]
+    return Verdict(status="inconclusive", evidence=evidence)
 
 
 def check_regular_global_inf(problem: SetValuedProblem,
@@ -115,51 +153,33 @@ def check_regular_global_inf(problem: SetValuedProblem,
 
     A witness is a point whose own value sits above the infimum while
     arbitrarily small punctured neighborhoods keep reaching it: the grid
-    signature is a punctured one-step minimum at the infimum that does
-    not dissolve under sub-step refinement.
+    signature is a collar point of the near-infimum set that does not
+    dissolve under sub-step refinement.
     """
-    idx = _restrict_indices(problem, restrict_norm)
-    if len(idx) < 2:
+    pts = problem.grid.points
+    inside = _domain_mask(problem, pts, restrict_norm)
+    if inside.sum() < 2:
         return Verdict(status="holds",
                        evidence={"reason": "restriction holds fewer than two grid points"})
-    pts = problem.grid.points[idx]
-    values = scalar_field(problem).values[idx]
-    m = float(values.min())
+    values = scalar_field(problem).values
+    m = float(values[inside].min())
     margin = _margin(problem)
     step = float(problem.grid.step_estimate().max())
-    grid_radius = 1.01 * step
-    refine_radii = step * np.asarray(_REFINE_LEVELS)
-
-    candidates = np.flatnonzero(values > m + margin)
-    witnesses = []
-    unresolved = []
-    for c in candidates:
-        dists = np.linalg.norm(pts - pts[c], axis=1)
-        near = (dists > 0.0) & (dists <= grid_radius)
-        if not near.any():
+    witnesses, unresolved = [], []
+    for c in _collar(problem, np.flatnonzero(inside & (values <= m + margin))):
+        if not inside[c]:
             continue
-        if float(values[near].min()) > m + margin:
-            continue  # coarse neighborhood already bounded away from the infimum
-        if not problem.map_model.is_analytic:
-            unresolved.append(pts[c])
-            continue
-        minima = _refined_local_minima(problem, pts[c], refine_radii, restrict_norm)
-        if not minima:
-            unresolved.append(pts[c])
-            continue
-        tie = problem.tolerances.tie_tol
-        if minima[-1] <= m + margin:
+        verdict, minima = _refine(problem, pts[c], m + margin, restrict_norm)
+        if verdict == "witness":
             witnesses.append((pts[c], minima))
-        elif len(minima) >= 3 and minima[-1] < minima[-2] - tie and minima[-2] < minima[-3] - tie:
-            # still descending toward the infimum at the refinement floor
+        elif verdict == "unresolved":
             unresolved.append(pts[c])
-
     evidence = {
         "inf_value": m,
         "margin": margin,
         "grid_step": step,
         "restricted_to_norm": restrict_norm,
-        "refinement_radii": refine_radii,
+        "refinement_radii": step * np.asarray(_REFINE_LEVELS),
     }
     if witnesses:
         w, trace = witnesses[0]
@@ -167,10 +187,7 @@ def check_regular_global_inf(problem: SetValuedProblem,
         evidence["all_witnesses"] = [wi.tolist() for wi, _ in witnesses]
         return Verdict(status="fails", witness=w.tolist(), evidence=evidence)
     if unresolved:
-        evidence["limiting_resource"] = "grid resolution (map not refinable off the grid)" \
-            if not problem.map_model.is_analytic else "refinement floor"
-        evidence["suspicious_points"] = [u.tolist() for u in unresolved]
-        return Verdict(status="inconclusive", evidence=evidence)
+        return _inconclusive(problem, evidence, unresolved)
     return Verdict(status="holds", evidence=evidence)
 
 
@@ -183,8 +200,7 @@ def check_transfer_closed(problem: SetValuedProblem, lam_samples=None) -> Verdic
 
     Grid closure dilates by one grid step, so at any finite resolution the
     dilated intersection may pick up a one-step collar; collar points are
-    classified by local refinement exactly as in the regular-global-inf
-    check.
+    classified by the same refinement as in the regular-global-inf check.
     """
     field = scalar_field(problem)
     m = field.inf_value
@@ -205,48 +221,30 @@ def check_transfer_closed(problem: SetValuedProblem, lam_samples=None) -> Verdic
     # dilation is monotone, so the intersection of the dilations is the
     # dilation of that one set.  Every lam still runs the route cross-check.
     members = [colevel(problem, float(lam)) for lam in lam_samples][int(np.argmin(lam_samples))]
-    steps = problem.grid.step_estimate()
     pts = problem.grid.points
-    plain = np.zeros(len(pts), dtype=bool)
-    plain[members] = True
-    # one-step Chebyshev dilation as the grid closure surrogate
-    dilated = plain.copy()
-    member_pts = pts[members]
-    for i in np.flatnonzero(~plain):
-        gaps = np.abs(member_pts - pts[i]) / steps
-        dilated[i] = bool(np.any(np.max(gaps, axis=1) <= 1.01))
-
-    collar = np.flatnonzero(dilated & ~plain)
+    collar = _collar(problem, members)
     evidence = {
         "lambda_samples": lam_samples,
         "inf_value": m,
-        "plain_intersection": pts[np.flatnonzero(plain)],
+        "plain_intersection": pts[members],
         "collar_points": pts[collar],
     }
-    if len(collar) == 0:
-        return Verdict(status="holds", evidence=evidence)
-
-    lam_min = float(lam_samples.min())
-    step = float(steps.max())
-    refine_radii = step * np.asarray(_REFINE_LEVELS)
+    level = float(lam_samples.min()) + margin
     unresolved = []
     for i in collar:
-        if field.values[i] <= lam_min + margin:
+        if field.values[i] <= level:
             continue  # value at the collar point itself is already low; not a closure gap
-        if not problem.map_model.is_analytic:
-            unresolved.append(pts[i])
-            continue
-        minima = _refined_local_minima(problem, pts[i], refine_radii, None)
-        if minima and minima[-1] <= lam_min + margin:
+        verdict, minima = _refine(problem, pts[i], level, None)
+        if verdict == "witness":
             evidence["local_minima_trace"] = minima
             evidence["witness_lambda"] = float(
                 lam_samples[np.argmax(field.values[i] > lam_samples)]
             )
             return Verdict(status="fails", witness=pts[i].tolist(), evidence=evidence)
+        if verdict == "unresolved":
+            unresolved.append(pts[i])
     if unresolved:
-        evidence["limiting_resource"] = "grid resolution (map not refinable off the grid)"
-        evidence["suspicious_points"] = [u.tolist() for u in unresolved]
-        return Verdict(status="inconclusive", evidence=evidence)
+        return _inconclusive(problem, evidence, unresolved)
     return Verdict(status="holds", evidence=evidence)
 
 
@@ -297,7 +295,7 @@ def check_coercivity(problem: SetValuedProblem, lam_probe: float | None = None) 
                 },
             )
         touched.append(lam)
-    pts = problem.grid.points[colevel(problem, touched[-1])]
+    pts = problem.grid.points[members]  # the colevel set at touched[-1]
     witness = pts[int(np.argmax(np.linalg.norm(pts, axis=1)))]
     return Verdict(
         status="fails",
@@ -381,7 +379,7 @@ def existence_report(problem: SetValuedProblem) -> HypothesisReport:
     ns = range(1, min(math.ceil(max_norm), _MAX_RESTRICTIONS) + 1)
     restricted = {}
     for n in ns:
-        if len(_restrict_indices(problem, float(n))) >= 2:
+        if _domain_mask(problem, problem.grid.points, float(n)).sum() >= 2:
             restricted[n] = check_regular_global_inf(problem, restrict_norm=float(n))
 
     coercive_blockers = []

@@ -44,7 +44,8 @@ from .setrel import PointCloudSet
 # by linspace with ~1e-16 noise land on their intended branch.
 REGION_TOL = 1e-9
 
-# Largest grid a box domain may ask for; the grid is allocated whole.
+# Largest grid a box domain, or angular lattice a ball map, may ask for;
+# either is allocated whole.
 MAX_GRID_POINTS = 10**6
 
 # Largest grid coordinate: norms of and distances between grid points,
@@ -214,11 +215,12 @@ def _numeric(value, path: str, scalar: bool = False):
     Every number a document supplies is converted here, so a malformed one
     fails validation instead of escaping as a numpy or builtin error.  A
     JSON boolean is not a number, at any depth, although Python and numpy
-    would convert it to 0.0 or 1.0.
+    would convert it to 0.0 or 1.0, nor is a JSON string, although both
+    would parse "1e-3".
     """
     try:
         number = float(value) if scalar else np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an integer beyond floats
         number = None
     if number is not None:
         # the conversion succeeded, so value nests lists exactly ndim deep
@@ -226,7 +228,7 @@ def _numeric(value, path: str, scalar: bool = False):
         leaves = value if ndim else [value]
         for _ in range(ndim - 1):
             leaves = itertools.chain.from_iterable(leaves)
-        if bool not in map(type, leaves):
+        if {bool, str}.isdisjoint(map(type, leaves)):
             return number
     raise ProblemValidationError(f"{path} must be numeric, got {reprlib.repr(value)}")
 
@@ -408,9 +410,9 @@ def _read_ball(params, notes: list):
     _note(params, notes)
     radius = _numeric(params.get("radius", 0.0), f"{_PARAMS}.radius", scalar=True)
     samples = _numeric(params.get("samples", 0), f"{_PARAMS}.samples", scalar=True)
-    if not (radius > 0.0 and 3 <= samples < np.inf and samples == int(samples)):
-        raise ProblemValidationError(f"ball map needs {_PARAMS}.radius > 0 and "
-                                     f"{_PARAMS}.samples a whole number >= 3")
+    if not (radius > 0.0 and 3 <= samples <= MAX_GRID_POINTS and samples == int(samples)):
+        raise ProblemValidationError(f"ball map needs {_PARAMS}.radius > 0 and {_PARAMS}.samples "
+                                     f"a whole number from 3 to {MAX_GRID_POINTS:,}")
     # fixed angular lattice starting at angle 0; even counts include pi
     angles = np.arange(int(samples)) * (2.0 * np.pi / int(samples))
     ring = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)

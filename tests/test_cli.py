@@ -285,6 +285,15 @@ def _unreached_region(name, region):
     ("tolerances.tie_tol", _edited("tradeoff_segment", "tolerances", "tie_tol", value=True)),
     ("domain.box", _edited("kinked_interval", "domain", "box", value=[[True, 3.0]])),
     ("domain.resolution", _edited("wedge_strip", "domain", "resolution", value=[True])),
+    ("tolerances.tie_tol", _edited("wedge_strip", "tolerances", "tie_tol", value="1e-3")),
+    ("domain.box", _edited("ramp_gap", "domain", "box", value=[["-3", 3.0]])),
+    ("map.parameters.lower[0].fn.c", _edited(
+        "decay_tail", "map", "parameters", "lower", 0, "fn", "c", value="-1")),
+    ("tolerances.cone_tol", _edited("kinked_interval", "tolerances", "cone_tol", value=10**400)),
+    # rejected before the ring is allocated
+    ("map.parameters.samples", _edited("ramp_gap", "map", value={
+        "kind": "ball", "parameters": {"center": {"family": "identity"}, "radius": 1.0,
+                                       "samples": 2**70}})),
 ])
 def test_malformed_document_exits_1_naming_its_path(path, make, capsys, tmp_path):
     bad = tmp_path / "bad.json"
@@ -303,6 +312,19 @@ def test_compact_at_holds_under_a_wide_tie_band(capsys, tmp_path):
     assert code == 0, err
     evidence = json.loads(out)["colevel_compact_at"]["evidence"]
     assert evidence["compactness_implication_active"] is True
+
+
+@pytest.mark.parametrize("command", [["check", "--gap"], ["asymptotic"]])
+def test_rays_past_a_box_that_misses_the_infimum_exit_0(capsys, tmp_path, command):
+    # psi tends to 0 along both rays, below the infimum 1/11 over the box
+    # grid, so both directions witness a failing gap instead of an error
+    path = tmp_path / "short_box.json"
+    path.write_text(json.dumps(_edited("decay_tail", "domain", "box", value=[[0.0, 10.0]])()))
+    code, out, err = _run(capsys, [command[0], str(path), *command[1:]])
+    assert code == 0, err
+    report = json.loads(out)
+    gap = report["asymptotic_gap"] if "asymptotic_gap" in report else report["gap"]
+    assert gap["holds"] is False and gap["witnesses"] == [[1.0], [-1.0]]
 
 
 def test_near_tied_table_solves_with_default_tolerances(capsys, tmp_path):
@@ -371,7 +393,9 @@ def test_mutated_documents_exit_0_or_1(tmp_path_factory, data):
     path.write_text(json.dumps(doc))
     command = data.draw(st.sampled_from([["solve"], ["scalarize"], ["colevel", "--lambda", "0"],
                                          ["check", "--gap", "--coercivity"],
-                                         ["check", compact_at]]))
+                                         ["check", compact_at],
+                                         ["check", "--all", "--transfer", "--rgi"],
+                                         ["asymptotic", "--horizon"]]))
     out, err = io.StringIO(), io.StringIO()
     # any exception other than SetOptError escapes main and fails the test
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -6,8 +6,10 @@ from setopt import (ConeSpec, DomainGrid, MapModel,
                     check_attainment, check_coercivity, check_colevel_compact_at,
                     check_regular_global_inf, check_transfer_closed, existence_report)
 from setopt import colevel, colevel_at_set
+from setopt.problem import build_problem
+from setopt.scalarizer import scalar_field
 from setopt import InternalConsistencyError
-from setopt import fixtures as fixture_catalog
+from setopt import diagnostics, fixtures as fixture_catalog
 from setopt.solver import domination_matrix, strict_weak_efficient_brute
 
 from conftest import constant_problem
@@ -114,6 +116,79 @@ def test_transfer_single_dilation_matches_per_lambda_reference(name):
         plain, collar = _per_lambda_intersection(prob, evidence["lambda_samples"])
         np.testing.assert_array_equal(evidence["plain_intersection"], plain)
         np.testing.assert_array_equal(evidence["collar_points"], collar)
+
+
+def _build(doc):
+    return build_problem({"schema_version": "1", **doc})
+
+
+def test_transfer_and_rgi_agree_on_a_point_still_descending_at_the_refinement_floor():
+    # psi is -5 up to 0.4, then |x - 0.5| on either side of 0.5, where it
+    # is 2: refined minima around 0.5 keep falling toward 0, never to -5
+    prob = _build({
+        "cone": {"dual_generators": [[1.0]], "q": [1.0]},
+        "domain": {"box": [[-1.0, 1.0]], "resolution": [21]},
+        "map": {"kind": "piecewise", "parameters": {"regions": [
+            {"where": {"type": "eq", "point": [0.5]}, "cloud": {"points": [[2.0]]}},
+            {"where": {"type": "interval", "hi": 0.4}, "cloud": {"points": [[-5.0]]}},
+            {"where": {"type": "interval", "hi": 0.5, "hi_strict": True},
+             "cloud": {"type": "affine_point", "matrix": [[-1.0]], "offset": [0.5]}},
+            {"cloud": {"type": "affine_point", "matrix": [[1.0]], "offset": [-0.5]}}]}}})
+    for verdict in (check_transfer_closed(prob), check_regular_global_inf(prob)):
+        assert verdict.status == "inconclusive"
+        assert verdict.evidence["limiting_resource"] == "refinement floor"
+        assert verdict.evidence["suspicious_points"] == [[0.5]]
+
+
+def test_rgi_refines_every_lattice_neighbour_of_the_infimum(monkeypatch):
+    # the disc sits lower at the centre of the 3 x 3 grid only, so its collar
+    # is the other 8 points, diagonals included
+    centre = {"family": "fixed", "value": [0.0, 0.0],
+              "overrides": [{"at": [0.0, 0.0], "value": [-3.0, -3.0]}]}
+    prob = _build({
+        "cone": {"dual_generators": [[1.0, 0.0], [0.0, 1.0]], "q": [1.0, 1.0]},
+        "domain": {"box": [[-1.0, 1.0], [-1.0, 1.0]], "resolution": [3, 3]},
+        "map": {"kind": "ball", "parameters": {"center": centre, "radius": 0.5,
+                                               "samples": 8}}})
+    refined = []
+    refine = diagnostics._refine
+    monkeypatch.setattr(diagnostics, "_refine",
+                        lambda problem, x0, *args: refined.append(x0.tolist())
+                        or refine(problem, x0, *args))
+    assert check_regular_global_inf(prob).status == "holds"
+    assert refined == [p for p in prob.grid.points.tolist() if p != [0.0, 0.0]]
+
+
+def test_coercivity_reads_each_colevel_set_once(decay, monkeypatch):
+    calls = []
+    monkeypatch.setattr(diagnostics, "colevel",
+                        lambda problem, lam: calls.append(lam) or colevel(problem, lam))
+    verdict = check_coercivity(decay)
+    assert verdict.status == "fails"
+    assert calls == verdict.evidence["probed_lambdas"]
+
+
+def test_refine_verdicts(decay):
+    level = scalar_field(decay).inf_value + diagnostics._margin(decay)
+    assert diagnostics._refine(decay, np.array([0.0]), level, None)[0] == "witness"
+    assert diagnostics._refine(decay, np.array([5.0]), level, None)[0] is None
+    # every probe around 5 lies outside the unit ball
+    assert diagnostics._refine(decay, np.array([5.0]), level, 1.0) == ("unresolved", [])
+    assert diagnostics._refine(_table_with_gap(), np.array([1.0]), 0.0, None) == ("unresolved", [])
+
+
+@pytest.mark.parametrize("fraction", [0.05, 0.5, 0.95])
+def test_collar_matches_a_pairwise_chebyshev_scan(fraction):
+    # the collar loops over whichever side is smaller, so cover both
+    doc = fixture_catalog.document("shifted_disc", samples=8)
+    doc["domain"]["resolution"] = [7, 5]  # unequal steps
+    prob = _build(doc)
+    pts, steps = prob.grid.points, prob.grid.step_estimate()
+    rng = np.random.default_rng(int(100 * fraction))
+    members = np.flatnonzero(rng.random(len(pts)) < fraction)
+    gaps = np.max(np.abs(pts[:, None, :] - pts[None, members, :]) / steps, axis=2)
+    expected = [i for i in range(len(pts)) if i not in members and (gaps[i] <= 1.01).any()]
+    np.testing.assert_array_equal(diagnostics._collar(prob, members), expected)
 
 
 def test_coercivity_verdicts(shifted72, decay):

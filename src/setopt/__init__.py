@@ -22,7 +22,8 @@ from .errors import (DimensionMismatchError, InternalConsistencyError,
 from .problem import (DomainGrid, Flags, MapModel, SetValuedProblem, Tolerances,
                       build_problem, evaluate, evaluate_at, to_document)
 from .scalarizer import (ScalarField, colevel, colevel_at_set, colevel_points,
-                         global_inf, scalar_field, scalar_value, scalar_value_at)
+                         global_inf, scalar_field, scalar_value, scalar_value_at,
+                         scalar_values_at)
 from .setrel import PointCloudSet, equivalent_l, lower_less, strictly_lower_less
 from .solver import (SolveReport, argmin_scalarized, solve, strict_weak_efficient_brute,
                      weak_efficient_brute)
@@ -41,7 +42,8 @@ __all__ = [
     "contains_interior", "default_lambda_schedule", "equivalent_l", "evaluate",
     "evaluate_at", "existence_report", "far_colevel_sample", "gerstewitz",
     "gerstewitz_bisect", "gerstewitz_many", "global_inf", "horizon_outer_limit",
-    "lower_less", "scalar_field", "scalar_value", "scalar_value_at", "solve",
+    "lower_less", "scalar_field", "scalar_value", "scalar_value_at", "scalar_values_at",
+    "solve",
     "strict_weak_efficient_brute", "strictly_lower_less", "to_document",
     "weak_efficient_brute",
 ]

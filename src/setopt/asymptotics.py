@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InternalConsistencyError, ProblemValidationError
 from .problem import SetValuedProblem
-from .scalarizer import global_inf, scalar_field, scalar_value_at
+from .scalarizer import global_inf, scalar_field, scalar_values_at
 
 DEFAULT_T_MAX = 1e6
 DEFAULT_T_COUNT = 40
@@ -120,11 +120,9 @@ def _ray_trace(problem: SetValuedProblem, schedule: RaySchedule) -> tuple[np.nda
     u = schedule.unit_direction
     if u.shape[0] != problem.grid.dim_domain:
         raise ProblemValidationError("direction dimension does not match the domain")
-    values = np.empty(len(schedule.t_values))
     if problem.map_model.is_analytic:
-        for i, t in enumerate(schedule.t_values):
-            values[i] = scalar_value_at(problem, t * u)
-        return values, False, 0.0
+        return scalar_values_at(problem, schedule.t_values[:, None] * u), False, 0.0
+    values = np.empty(len(schedule.t_values))
     field = scalar_field(problem)
     max_snap = 0.0
     for i, t in enumerate(schedule.t_values):
@@ -233,18 +231,20 @@ def far_colevel_sample(problem: SetValuedProblem, lam: float,
     table kinds can only contribute far grid points.
     """
     tie = problem.tolerances.tie_tol
-    pts = [problem.grid.points[i]
-           for i in np.flatnonzero(scalar_field(problem).values <= lam + tie)
-           if np.linalg.norm(problem.grid.points[i]) >= radius_threshold]
+    low = problem.grid.points[scalar_field(problem).values <= lam + tie]
+    norms = np.linalg.norm(low, axis=1)
+    far = norms >= radius_threshold
+    # a row's norm may round differently from the norm of that point alone,
+    # so points within rounding of the threshold are measured alone
+    near = np.flatnonzero(np.abs(norms - radius_threshold) <= 1e-12 * radius_threshold)
+    far[near] = [np.linalg.norm(x) >= radius_threshold for x in low[near]]
+    pts = list(low[far])
     if problem.map_model.is_analytic:
         ts = np.geomspace(radius_threshold, max(DEFAULT_T_MAX, radius_threshold * 10.0),
                           FAR_T_COUNT)
-        for u in compass_directions(problem.grid.dim_domain):
-            u = u / np.linalg.norm(u)
-            for t in ts:
-                x = t * u
-                if scalar_value_at(problem, x) <= lam + tie:
-                    pts.append(x)
+        rays = np.concatenate([ts[:, None] * (u / np.linalg.norm(u))
+                               for u in compass_directions(problem.grid.dim_domain)])
+        pts.extend(rays[scalar_values_at(problem, rays) <= lam + tie])
     if not pts:
         return np.empty((0, problem.grid.dim_domain))
     return np.asarray(pts)

@@ -112,13 +112,13 @@ def gerstewitz(cone: ConeSpec, y) -> float:
 
 
 def gerstewitz_many(cone: ConeSpec, ys: np.ndarray) -> np.ndarray:
-    """Vectorized gerstewitz over the rows of a (p, m) array."""
+    """Vectorized gerstewitz over the rows of a (p, m) array, or of a (c, p, m) stack."""
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    if ys.shape[1] != cone.dim_image:
+    if ys.shape[-1] != cone.dim_image:
         raise DimensionMismatchError(
-            f"points have dimension {ys.shape[1]}, cone expects {cone.dim_image}"
+            f"points have dimension {ys.shape[-1]}, cone expects {cone.dim_image}"
         )
-    return np.min((ys @ cone.dual_generators.T) / cone._unit_scores, axis=1)
+    return np.min((ys @ cone.dual_generators.T) / cone._unit_scores, axis=-1)
 
 
 def gerstewitz_bisect(cone: ConeSpec, y, tol: float = 1e-10, max_doublings: int = 200) -> float:

@@ -10,13 +10,16 @@ distinguish genuine failures (a minimizing sequence piling up against a
 point whose own value stays high) from one-grid-step artifacts around an
 attained minimizer.  On a fixed grid the two look identical, so both
 refine below the grid step around the collar of a low set: the
-non-members within one grid step of a member on every axis (the 3^d - 1
-lattice neighbours of each member on a box grid).  Regular-global-inf
-takes the near-infimum set inside its norm ball, transfer closedness the
-colevel set at the smallest sampled height, and one refinement verdict
-(`_refine`) classifies every collar point for both.  The probes read
-`scalar_value_at`, which keeps each off-grid value, so a probe point
-costs one map evaluation per problem however often it is revisited.
+non-members within one grid step of a member on every axis.  On a box
+grid the collar is computed on the index lattice, as the 3^d - 1 lattice
+neighbours of each member; a grid given as points is scanned pairwise.
+Regular-global-inf takes the near-infimum set inside its norm ball,
+transfer closedness the colevel set at the smallest sampled height, and
+one refinement verdict (`_refine`) classifies every collar point for
+both.  `_refine` builds all its probe rings, keeps those in the domain
+and reads them in one `scalar_values_at` call; that keeps each off-grid
+value, so a probe point costs one map evaluation per problem however
+often it is revisited.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 from .asymptotics import MARGIN_FACTOR, GapReport, check_asymptotic_gap, compass_directions
 from .errors import InternalConsistencyError, ProblemValidationError
 from .problem import SetValuedProblem
-from .scalarizer import colevel, scalar_field, scalar_value_at
+from .scalarizer import colevel, scalar_field, scalar_values_at
 from .solver import domination_row, strict_weak_efficient_brute
 
 _REFINE_LEVELS = (0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625)
@@ -87,9 +90,23 @@ def _domain_mask(problem: SetValuedProblem, pts: np.ndarray,
 def _collar(problem: SetValuedProblem, members: np.ndarray) -> np.ndarray:
     """Sorted indices of the non-members within one grid step of a member on every axis.
 
-    This one-step Chebyshev dilation is the grid surrogate of a closure;
-    on a box grid it adds the 3^d - 1 lattice neighbours of each member.
+    This one-step Chebyshev dilation is the grid surrogate of a closure.
+    On a box grid it is taken on the `resolution` lattice: the member mask
+    grows by one index both ways along each axis in turn, which adds the
+    3^d - 1 lattice neighbours of each member.  A grid given as points is
+    scanned pairwise, in units of the grid step.
     """
+    if problem.grid.resolution is not None:
+        near = np.zeros(problem.grid.resolution, dtype=bool)
+        near.flat[members] = True
+        for axis in range(near.ndim):
+            rows = np.moveaxis(near, axis, 0)
+            grown = rows.copy()
+            grown[1:] |= rows[:-1]
+            grown[:-1] |= rows[1:]
+            near = np.moveaxis(grown, 0, axis)
+        near.flat[members] = False
+        return np.flatnonzero(near)
     pts = problem.grid.points
     steps = problem.grid.step_estimate()
     outside = np.setdiff1d(np.arange(len(pts)), members)
@@ -124,12 +141,13 @@ def _refine(problem: SetValuedProblem, x0: np.ndarray, level: float,
     """
     if not problem.map_model.is_analytic:
         return "unresolved", []
-    minima = []
-    for r in float(problem.grid.step_estimate().max()) * np.asarray(_REFINE_LEVELS):
-        probes = _probe_ring(x0, float(r))
-        probes = probes[_domain_mask(problem, probes, restrict_norm)]
-        if len(probes):
-            minima.append(min(scalar_value_at(problem, p) for p in probes))
+    rings = [_probe_ring(x0, float(r))
+             for r in float(problem.grid.step_estimate().max()) * np.asarray(_REFINE_LEVELS)]
+    probes = np.concatenate(rings)
+    inside = _domain_mask(problem, probes, restrict_norm)
+    ring = np.repeat(np.arange(len(rings)), [len(p) for p in rings])[inside]
+    values = scalar_values_at(problem, probes[inside])
+    minima = [min(values[ring == k].tolist()) for k in np.unique(ring)]
     if not minima:
         return "unresolved", minima
     if minima[-1] <= level:

@@ -17,15 +17,19 @@ domain points, which the asymptotic and refinement machinery relies on.
 
 Each kind has one reader.  It runs once, when the `MapModel` is built:
 it validates and converts every parameter, rejecting unknown keys with
-their document path, and returns the evaluator that `cloud_at` calls.
-The raw parameters are kept only for writing the document back.
+their document path, and returns one evaluator over a batch of domain
+points, which gives their clouds in the store's layout (`clouds_at`);
+`cloud_at` is its one-point view.  The raw parameters are kept only for
+writing the document back.
 
-Building a problem evaluates the map once per grid point into the store
-that every grid-side layer reads instead of evaluating again.
+Building a problem evaluates the map at all grid points in one call, into
+the store that every grid-side layer reads instead of evaluating again.
+The store is bounded in total (MAX_CLOUD_POINTS) before it is allocated.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -36,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cone import ConeSpec
-from .errors import DimensionMismatchError, ProblemValidationError
+from .errors import DimensionMismatchError, ProblemValidationError, SetOptError
 from .setrel import PointCloudSet
 
 # Absolute slack for matching grid points and for region boundaries.
@@ -47,6 +51,13 @@ REGION_TOL = 1e-9
 # Largest grid a box domain, or angular lattice a ball map, may ask for;
 # either is allocated whole.
 MAX_GRID_POINTS = 10**6
+
+# Largest number of cloud points a problem stores, over all its grid points:
+# each grid point keeps its own copy of its cloud.  It admits an interval
+# map (two points per cloud) on every grid a box may ask for, and the
+# 360-point rings of `shifted_disc` on a 101 x 101 grid.  No single cloud
+# may hold more.
+MAX_CLOUD_POINTS = 4 * MAX_GRID_POINTS
 
 # Largest grid coordinate: norms of and distances between grid points,
 # sums of squares, stay finite well beyond it.
@@ -256,6 +267,8 @@ def _cloud(value, path: str, note) -> PointCloudSet:
     points = _numeric(value, path)
     if points.ndim > 2:
         raise ProblemValidationError(f"{path} must be a list of points")
+    if points.ndim == 2 and len(points) > MAX_CLOUD_POINTS:
+        raise ProblemValidationError(f"{path} holds more than {MAX_CLOUD_POINTS:,} points")
     try:
         return PointCloudSet(points, sampling_note=note)
     except ProblemValidationError as exc:  # an empty or non-finite cloud
@@ -270,97 +283,172 @@ def _entries(items, path: str, *known: str) -> list[tuple[dict, str]]:
             for i, item in enumerate(items)]
 
 
+class _StoreTooLarge(ProblemValidationError):
+    """Clouds that would hold more points than a problem may store.
+
+    A limit on a whole batch, not the failure of one row, so `first_failure`
+    passes it on as it is.
+    """
+
+
+def _starts(sizes: np.ndarray, knobs: str) -> np.ndarray:
+    """Where each cloud starts when clouds of `sizes` points are stacked.
+
+    Every grid point stores its own copy of its cloud, so the total is
+    checked here, before the stack is allocated; `knobs` names the
+    document entries that set it.
+    """
+    total = int(sizes.sum())
+    if total > MAX_CLOUD_POINTS:
+        raise _StoreTooLarge(
+            f"the clouds at {len(sizes):,} domain points hold {total:,} points in all, more "
+            f"than the {MAX_CLOUD_POINTS:,} a problem may store; lower {knobs}")
+    return np.cumsum(sizes) - sizes
+
+
 def _read_point(value, path: str):
-    """x -> whether x is the document point `value` up to REGION_TOL."""
+    """X -> which rows of X are the document point `value` up to REGION_TOL."""
     target = _numeric(value, path).reshape(-1)
-    return lambda x: target.shape == x.shape and bool(np.max(np.abs(x - target)) <= REGION_TOL)
+    def at(X: np.ndarray) -> np.ndarray:
+        if X.shape[1:] != target.shape:
+            return np.zeros(len(X), dtype=bool)
+        return np.max(np.abs(X - target), axis=1) <= REGION_TOL
+    return at
 
 
 def _read_fn(fn, path: str):
-    """t -> value of one function from the registry of interval bounds."""
+    """t -> the values of one function from the registry of interval bounds at t."""
     kind = _typed(fn, path, {"const": ("c", "offset"), "linear": ("a", "b", "offset"),
                              "quadratic": ("a", "b", "c", "offset"),
                              "inv_linear": ("a", "b", "offset")})
     offset = _numeric(fn.get("offset", 0.0), f"{path}.offset", scalar=True)
     if kind == "const":
         c = _number(fn, "c", path)
-        return lambda t: c + offset
+        return lambda t: np.full(len(t), c + offset)
     if kind == "quadratic":
         a, b, c = (_number(fn, key, path) for key in ("a", "b", "c"))
         return lambda t: a * t * t + b * t + c + offset
     a, b = _number(fn, "a", path), _number(fn, "b", path)
     if kind == "linear":
         return lambda t: a * t + b + offset
-    def inv_linear(t: float) -> float:
+    def inv_linear(t: np.ndarray) -> np.ndarray:
         den = a * t + b
-        if abs(den) < 1e-300:
-            raise ProblemValidationError(f"inv_linear pole at x={t}")
+        pole = np.abs(den) < 1e-300
+        if pole.any():
+            raise ProblemValidationError(f"inv_linear pole at x={float(t[np.argmax(pole)])}")
         return 1.0 / den + offset
     return inv_linear
 
 
 def _read_bounds(spec: dict, path: str):
-    """t -> whether t is within spec's optional lo/hi, widened by REGION_TOL unless strict."""
+    """t -> which entries of t lie within spec's optional lo/hi, widened by REGION_TOL
+    unless strict."""
     lo_strict, hi_strict = _flag(spec, "lo_strict", path), _flag(spec, "hi_strict", path)
     lo = hi = None
     if spec.get("lo") is not None:
         lo = _number(spec, "lo", path) + (REGION_TOL if lo_strict else -REGION_TOL)
     if spec.get("hi") is not None:
         hi = _number(spec, "hi", path) + (-REGION_TOL if hi_strict else REGION_TOL)
-    return lambda t: ((lo is None or (t > lo if lo_strict else t >= lo))
-                      and (hi is None or (t < hi if hi_strict else t <= hi)))
+    def inside(t: np.ndarray) -> np.ndarray:
+        keep = np.ones(len(t), dtype=bool)
+        if lo is not None:
+            keep &= t > lo if lo_strict else t >= lo
+        if hi is not None:
+            keep &= t < hi if hi_strict else t <= hi
+        return keep
+    return inside
 
 
 def _read_pieces(pieces, path: str):
-    """t -> the value of the first listed piece whose bounds hold at t."""
+    """t -> per entry of t, the value of the first listed piece whose bounds hold there."""
     read = [(_read_bounds(piece, entry), _read_fn(_require(piece, "fn", entry), f"{entry}.fn"))
             for piece, entry in _entries(pieces, path, "fn", "lo", "hi", "lo_strict", "hi_strict")]
     if not read:
         raise ProblemValidationError(f"{path} needs a nonempty piece list")
-    def value(t: float) -> float:
+    def value(t: np.ndarray) -> np.ndarray:
+        out = np.empty(len(t))
+        todo = np.ones(len(t), dtype=bool)
         for inside, fn in read:
-            if inside(t):
-                return fn(t)
-        raise ProblemValidationError(f"no piece covers x={t}")
+            rows = np.flatnonzero(todo & inside(t))
+            out[rows] = fn(t[rows])
+            todo[rows] = False
+        if todo.any():
+            raise ProblemValidationError(f"no piece covers x={float(t[np.argmax(todo)])}")
+        return out
     return value
 
 
 def _read_where(where, path: str):
-    """x -> whether a region's predicate holds at x."""
+    """X -> which rows of X satisfy a region's predicate."""
     kind = _typed(where, path, {"always": (), "eq": ("point",),
                                 "interval": ("lo", "hi", "lo_strict", "hi_strict")},
                   default="always")
     if kind == "always":
-        return lambda x: True
+        return lambda X: np.ones(len(X), dtype=bool)
     if kind == "eq":
         return _read_point(_require(where, "point", path), f"{path}.point")
     inside = _read_bounds(where, path)
-    def matches(x: np.ndarray) -> bool:
-        if x.shape[0] != 1:
+    def matches(X: np.ndarray) -> np.ndarray:
+        if X.shape[1] != 1:
             raise ProblemValidationError(f"{path}: interval region predicates are 1D only")
-        return inside(float(x[0]))
+        return inside(X[:, 0])
     return matches
 
 
 def _read_cloud_spec(spec, path: str, notes: list):
-    """x -> the cloud a region assigns to x."""
+    """(X -> the clouds a region assigns to the rows of X, stacked; their size, width, note)."""
     kind = _typed(spec, path, {"fixed": ("points", "sampling_note"),
                                "affine_point": ("matrix", "offset", "sampling_note")},
                   default="fixed")
     note = _note(spec, notes)
     if kind == "fixed":
         cloud = _cloud(_require(spec, "points", path), f"{path}.points", note)
-        return lambda x: cloud
+        return (lambda X: np.tile(cloud.points, (len(X), 1)), len(cloud), cloud.dim,
+                cloud.sampling_note)
     matrix = _numeric(_require(spec, "matrix", path), f"{path}.matrix")
     offset = _numeric(_require(spec, "offset", path), f"{path}.offset")
     if matrix.ndim != 2 or matrix.size == 0 or offset.shape != matrix.shape[:1]:
         raise ProblemValidationError(f"{path}.matrix must be 2D, one row per {path}.offset entry")
-    def affine_point(x: np.ndarray) -> PointCloudSet:
-        if x.shape[0] != matrix.shape[1]:
+    def affine_point(X: np.ndarray) -> np.ndarray:
+        if X.shape[1] != matrix.shape[1]:
             raise ProblemValidationError(f"{path}.matrix has {matrix.shape[1]} columns, but "
-                                         f"domain points have dimension {x.shape[0]}")
-        return PointCloudSet((matrix @ x + offset)[None, :])
-    return affine_point
+                                         f"domain points have dimension {X.shape[1]}")
+        # one matrix-vector product per row, as for a single point; a flat
+        # product over the batch would round some rows differently
+        return (matrix @ X[:, :, None])[:, :, 0] + offset
+    return affine_point, 1, len(offset), None
+
+
+# Candidate (row, table point) pairs a table lookup compares at once.
+_LOOKUP_BLOCK = 2**16
+
+
+def _nearest(points: np.ndarray, order: np.ndarray, keys: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Per row of X, the first (lowest index) nearest of `points` in the Chebyshev
+    distance if that is at most REGION_TOL, else -1.
+
+    A match lies within REGION_TOL of the row on axis 0, so only the points
+    whose axis-0 `keys` (sorted by `order`) fall in that window are
+    compared; the window is twice as wide, so that rounding its ends never
+    drops a match.  Rows are compared in blocks of about _LOOKUP_BLOCK pairs.
+    """
+    lo = np.searchsorted(keys, X[:, 0] - 2 * REGION_TOL, "left")
+    counts = np.searchsorted(keys, X[:, 0] + 2 * REGION_TOL, "right") - lo
+    index = np.full(len(X), -1)
+    per_block = max(1, _LOOKUP_BLOCK // max(1, int(counts.max())))
+    for first in range(0, len(X), per_block):
+        block = slice(first, first + per_block)
+        c = counts[block]
+        if not c.any():
+            continue
+        row = np.repeat(np.arange(first, first + len(c)), c)
+        cand = order[np.repeat(lo[block] - (np.cumsum(c) - c), c) + np.arange(int(c.sum()))]
+        dist = np.max(np.abs(points[cand] - X[row]), axis=1)
+        pick = np.lexsort((cand, dist, row))  # per row: least distance, then least index
+        head = pick[np.r_[True, row[pick][1:] != row[pick][:-1]]]
+        head = head[dist[head] <= REGION_TOL]
+        index[row[head]] = cand[head]
+    return index
 
 
 def _read_table(params, notes: list):
@@ -370,23 +458,43 @@ def _read_table(params, notes: list):
     clouds = _require(params, "clouds", _PARAMS)
     if pts.ndim != 2 or pts.size == 0 or not isinstance(clouds, list) or len(clouds) != len(pts):
         raise ProblemValidationError(f"table map needs matching {_PARAMS}.points and clouds")
+    if np.isnan(pts).any():
+        raise ProblemValidationError(f"{_PARAMS}.points must not hold NaN")
     clouds = [_cloud(cloud, f"{_PARAMS}.clouds[{i}]", note) for i, cloud in enumerate(clouds)]
-    def lookup(x: np.ndarray) -> PointCloudSet:
-        if x.shape != pts.shape[1:]:
+    order = np.argsort(pts[:, 0], kind="stable")
+    keys = pts[order, 0]
+    sizes = np.array([len(c) for c in clouds])
+    offsets = np.cumsum(sizes) - sizes
+    one_width = len({c.dim for c in clouds}) == 1
+    stacked = np.concatenate([c.points for c in clouds]) if one_width else None
+    def table(X: np.ndarray):
+        if X.shape[1:] != pts.shape[1:]:
             raise ProblemValidationError(f"{_PARAMS}.points have dimension {pts.shape[1]}, but "
-                                         f"domain points have dimension {x.shape[0]}")
-        dists = np.max(np.abs(pts - x), axis=1)
-        idx = int(np.argmin(dists))
-        if dists[idx] > REGION_TOL:
-            raise ProblemValidationError(f"table map has no entry for x={x.tolist()}")
-        return clouds[idx]
-    return lookup
+                                         f"domain points have dimension {X.shape[1]}")
+        index = _nearest(pts, order, keys, X)
+        if (index < 0).any():
+            raise ProblemValidationError(
+                f"table map has no entry for x={X[np.argmax(index < 0)].tolist()}")
+        chosen = sizes[index]
+        starts = _starts(chosen, "domain.resolution")
+        if one_width:
+            rows = np.repeat(offsets[index] - starts, chosen) + np.arange(int(chosen.sum()))
+            points = stacked[rows]
+        elif len({clouds[i].dim for i in index.tolist()}) == 1:
+            points = np.concatenate([clouds[i].points for i in index])
+        else:
+            raise DimensionMismatchError("table clouds of different dimensions in one batch")
+        return points, starts, [note] * len(X)
+    return table, int(sizes.max())
 
 
 def _read_constant(params, notes: list):
     _section(params, _PARAMS, "cloud", "sampling_note")
     cloud = _cloud(_require(params, "cloud", _PARAMS), f"{_PARAMS}.cloud", _note(params, notes))
-    return lambda x: cloud
+    def constant(X: np.ndarray):
+        starts = _starts(np.full(len(X), len(cloud)), "domain.resolution")
+        return np.tile(cloud.points, (len(X), 1)), starts, [cloud.sampling_note] * len(X)
+    return constant, len(cloud)
 
 
 def _read_interval(params, notes: list):
@@ -394,15 +502,19 @@ def _read_interval(params, notes: list):
     _note(params, notes)
     lower = _read_pieces(params.get("lower"), f"{_PARAMS}.lower")
     upper = _read_pieces(params.get("upper"), f"{_PARAMS}.upper")
-    def interval(x: np.ndarray) -> PointCloudSet:
-        if x.shape[0] != 1:
+    def interval(X: np.ndarray):
+        if X.shape[1] != 1:
             raise ProblemValidationError("interval maps take 1D domain points")
-        t = float(x[0])
+        t = X[:, 0]
         lo, hi = lower(t), upper(t)
-        if lo > hi + REGION_TOL:
-            raise ProblemValidationError(f"interval violation: lower {lo} > upper {hi} at x={t}")
-        return PointCloudSet(np.array([[lo], [hi]]))
-    return interval
+        bad = lo > hi + REGION_TOL
+        if bad.any():
+            i = np.argmax(bad)
+            raise ProblemValidationError(f"interval violation: lower {float(lo[i])} > upper "
+                                         f"{float(hi[i])} at x={float(t[i])}")
+        starts = _starts(np.full(len(X), 2), "domain.resolution")
+        return np.stack([lo, hi], axis=1).reshape(-1, 1), starts, [None] * len(X)
+    return interval, 2
 
 
 def _read_ball(params, notes: list):
@@ -431,39 +543,90 @@ def _read_ball(params, notes: list):
              point(_require(override, "value", entry), f"{entry}.value"))
             for override, entry in _entries(spec.get("overrides", []), f"{path}.overrides",
                                             "at", "value")]
-    def ball(x: np.ndarray) -> PointCloudSet:
-        for at, value in read:
-            if at(x):
-                return PointCloudSet(value + ring)
-        centre = fixed if family == "fixed" else np.abs(x) if family == "abs_components" else x
-        if centre.shape[0] != 2:
-            raise ProblemValidationError(f"{path}.family {family} needs 2D domain points: "
-                                         "ball maps produce 2D image clouds")
-        return PointCloudSet(centre + ring)
-    return ball
+    def ball(X: np.ndarray):
+        centres = np.empty((len(X), 2))
+        todo = np.ones(len(X), dtype=bool)
+        for at, value in read:  # the first matching override wins
+            hit = todo & at(X)
+            centres[hit] = value
+            todo &= ~hit
+        if family == "fixed":
+            centres[todo] = fixed
+        elif todo.any():
+            if X.shape[1] != 2:
+                raise ProblemValidationError(f"{path}.family {family} needs 2D domain points: "
+                                             "ball maps produce 2D image clouds")
+            centres[todo] = np.abs(X[todo]) if family == "abs_components" else X[todo]
+        starts = _starts(np.full(len(X), len(ring)), f"domain.resolution or {_PARAMS}.samples")
+        return (centres[:, None, :] + ring).reshape(-1, 2), starts, [None] * len(X)
+    return ball, len(ring)
 
 
 def _read_piecewise(params, notes: list):
     _section(params, _PARAMS, "regions", "sampling_note")
     _note(params, notes)
     read = [(_read_where(region.get("where", {}), f"{path}.where"),
-             _read_cloud_spec(_require(region, "cloud", path), f"{path}.cloud", notes))
+             *_read_cloud_spec(_require(region, "cloud", path), f"{path}.cloud", notes))
             for region, path in _entries(params.get("regions"), f"{_PARAMS}.regions",
                                          "where", "cloud")]
     if not read:
         raise ProblemValidationError(f"piecewise map needs a nonempty {_PARAMS}.regions list")
-    def piecewise(x: np.ndarray) -> PointCloudSet:
-        for where, cloud in read:  # the first listed region that holds wins
-            if where(x):
-                return cloud(x)
-        raise ProblemValidationError(f"no region covers x={x.tolist()}")
-    return piecewise
+    sizes = np.array([size for _, _, size, _, _ in read])
+    widths = np.array([width for _, _, _, width, _ in read])
+    def piecewise(X: np.ndarray):
+        region = np.full(len(X), -1)
+        for k, (where, *_) in enumerate(read):  # the first listed region that holds wins
+            todo = np.flatnonzero(region < 0)
+            if len(todo):
+                region[todo[where(X[todo])]] = k
+        if (region < 0).any():
+            raise ProblemValidationError(f"no region covers x={X[np.argmax(region < 0)].tolist()}")
+        if (widths[region] != widths[region[0]]).any():
+            raise DimensionMismatchError("region clouds of different dimensions in one batch")
+        starts = _starts(sizes[region], "domain.resolution")
+        points = np.empty((int(sizes[region].sum()), widths[region[0]]))
+        for k, (_, cloud, size, _, _) in enumerate(read):
+            rows = np.flatnonzero(region == k)
+            if len(rows):
+                points[(starts[rows, None] + np.arange(size)).reshape(-1)] = cloud(X[rows])
+        return points, starts, [read[k][4] for k in region.tolist()]
+    return piecewise, int(sizes.max())
 
 
 # kind -> reader(params, notes): checks and converts params once, appends the
-# sampling notes it reads to notes, and returns the evaluator x -> cloud
+# sampling notes it reads to notes, and returns the evaluator and the most
+# points one domain point's cloud can hold.  The evaluator takes an (n, d)
+# batch X and returns the clouds at its rows in the store's layout: their
+# points stacked, the cloud of row i from starts[i] on, and each cloud's
+# sampling note.  It works row by row, so a row's cloud, or its failure,
+# never depends on the rest of the batch.
 _READERS = {"table": _read_table, "constant": _read_constant, "interval": _read_interval,
             "ball": _read_ball, "piecewise": _read_piecewise}
+
+
+def first_failure(evaluate: Callable, X: np.ndarray):
+    """evaluate(X); if that raises, the error evaluate raises on the first failing row of X.
+
+    `evaluate` must work row by row, so that a prefix of X fails exactly
+    when it reaches the first failing row, which bisection then finds.
+    An error thus names the point, with the message, that evaluating the
+    rows one at a time would have stopped at.
+    """
+    try:
+        return evaluate(X)
+    except _StoreTooLarge:
+        raise
+    except SetOptError:
+        passing, failing = 0, len(X)  # X[:passing] passes, X[:failing] fails
+        while failing - passing > 1:
+            middle = (passing + failing) // 2
+            try:
+                evaluate(X[:middle])
+                passing = middle
+            except SetOptError:
+                failing = middle
+        evaluate(X[passing:failing])  # raises the error of row `passing`
+        raise
 
 
 @dataclass(frozen=True)
@@ -471,13 +634,15 @@ class MapModel:
     """One of the supported set-valued map kinds plus its parameters.
 
     Construction reads `params` once, through the reader of `kind`, into
-    the evaluator that `cloud_at` calls and the sampling notes; `params`
-    itself is kept only for writing the document back (`to_dict`).
+    the batch evaluator that `clouds_at` calls and the sampling notes;
+    `params` itself is kept only for writing the document back (`to_dict`).
     """
 
     kind: str
     params: dict
-    _evaluate: Callable[[np.ndarray], PointCloudSet] = field(init=False, repr=False, compare=False)
+    _evaluate: Callable[[np.ndarray], tuple] = field(init=False, repr=False, compare=False)
+    # the most points the cloud of one domain point can hold
+    largest_cloud: int = field(init=False, repr=False, compare=False)
     _notes: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -486,7 +651,9 @@ class MapModel:
             raise ProblemValidationError(f"unknown map kind {reprlib.repr(self.kind)} at "
                                          f"map.kind; expected {', '.join(_READERS)}")
         notes = []
-        object.__setattr__(self, "_evaluate", reader(self.params, notes))
+        evaluate, largest = reader(self.params, notes)
+        object.__setattr__(self, "_evaluate", evaluate)
+        object.__setattr__(self, "largest_cloud", largest)
         object.__setattr__(self, "_notes", tuple(notes))
 
     @property
@@ -494,8 +661,23 @@ class MapModel:
         """Whether the model can be evaluated at arbitrary domain points."""
         return self.kind != "table"
 
+    def clouds_at(self, X) -> tuple[np.ndarray, np.ndarray, list]:
+        """The clouds at the rows of the (n, d) array X, in the store's layout.
+
+        Returns their points stacked, the cloud of row i from row starts[i]
+        on, and each cloud's sampling note.  Each row's cloud is bit for bit
+        the one `cloud_at` gives for that row alone.  If some row fails,
+        this raises; `first_failure` finds the error of the first one.
+        """
+        with np.errstate(all="ignore"):  # an overflow ends in a non-finite cloud, rejected below
+            points, starts, notes = self._evaluate(np.asarray(X, dtype=float))
+        if not np.isfinite(points).all():
+            raise ProblemValidationError("point cloud must be finite")
+        return points, starts, notes
+
     def cloud_at(self, x) -> PointCloudSet:
-        return self._evaluate(np.asarray(x, dtype=float).reshape(-1))
+        points, _, notes = self.clouds_at(np.asarray(x, dtype=float).reshape(1, -1))
+        return PointCloudSet(points, sampling_note=notes[0])
 
     def sampling_notes(self) -> list[str]:
         """All sampling notes declared anywhere in the parameters."""
@@ -510,14 +692,15 @@ class MapModel:
 class SetValuedProblem:
     """A full instance: grid, map model, cone, tolerances, asserted flags.
 
-    The store: `clouds` in grid order, and their rows stacked in
-    `cloud_points`, cloud i from row `cloud_starts[i]`; the generator
-    scores <w_j, p> of those rows in `cloud_scores`, per cloud the
-    maximum of |w_j| . |p| in `cloud_magnitudes`, and per cloud the
-    maximum over j of that over <w_j, q>, which bounds |psi| over the
-    cloud, in `cloud_psi_bounds`.  Instances are immutable by convention
-    after construction; the private cache holds derived artifacts (scalar
-    field, efficient sets, gap report, off-grid scalar values).
+    The store: the clouds' rows stacked in grid order in `cloud_points`,
+    cloud i from row `cloud_starts[i]`, and the same clouds as views in
+    `clouds`; the generator scores <w_j, p> of those rows in
+    `cloud_scores`, per cloud the maximum of |w_j| . |p| in
+    `cloud_magnitudes`, and per cloud the maximum over j of that over
+    <w_j, q>, which bounds |psi| over the cloud, in `cloud_psi_bounds`.
+    Instances are immutable by convention after construction; the private
+    cache holds derived artifacts (scalar field, efficient sets, gap
+    report, off-grid scalar values).
     """
 
     grid: DomainGrid
@@ -526,27 +709,26 @@ class SetValuedProblem:
     tolerances: Tolerances = field(default_factory=Tolerances)
     flags: Flags = field(default_factory=Flags)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
-    clouds: list[PointCloudSet] = field(init=False, repr=False, compare=False)
     cloud_points: np.ndarray = field(init=False, repr=False, compare=False)
     cloud_starts: np.ndarray = field(init=False, repr=False, compare=False)
     cloud_scores: np.ndarray = field(init=False, repr=False, compare=False)
     cloud_magnitudes: np.ndarray = field(init=False, repr=False, compare=False)
     cloud_psi_bounds: np.ndarray = field(init=False, repr=False, compare=False)
+    _cloud_notes: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # every grid point must produce a valid cloud of the cone's image dimension
-        self.clouds = []
-        for x in self.grid.points:
-            cloud = self.map_model.cloud_at(x)
-            if cloud.dim != self.cone.dim_image:
+        dim = self.cone.dim_image
+
+        def clouds_at(X):
+            points, starts, notes = self.map_model.clouds_at(X)
+            if points.shape[1] != dim:
                 raise ProblemValidationError(
-                    f"map image dimension {cloud.dim} does not match cone "
-                    f"dimension {self.cone.dim_image}"
-                )
-            self.clouds.append(cloud)
-        sizes = np.array([len(c) for c in self.clouds])
-        self.cloud_points = np.concatenate([c.points for c in self.clouds])
-        self.cloud_starts = np.cumsum(sizes) - sizes
+                    f"map image dimension {points.shape[1]} does not match cone dimension {dim}")
+            return points, starts, notes
+
+        self.cloud_points, self.cloud_starts, self._cloud_notes = first_failure(
+            clouds_at, self.grid.points)
         w = self.cone.dual_generators
         # twice every |p|, every |w| . |p| and every |w| . |p| / <w, q> must
         # stay finite, so that point differences, scores, score differences
@@ -566,6 +748,12 @@ class SetValuedProblem:
         self.cloud_magnitudes = mags
         self.cloud_psi_bounds = psi_bounds
         self.cloud_scores = self.cloud_points @ w.T
+
+    @functools.cached_property
+    def clouds(self) -> list[PointCloudSet]:
+        """The stored clouds in grid order, as views of `cloud_points`."""
+        return [PointCloudSet(points, sampling_note=note) for points, note in
+                zip(np.split(self.cloud_points, self.cloud_starts[1:]), self._cloud_notes)]
 
 
 def evaluate(problem: SetValuedProblem, x) -> PointCloudSet:

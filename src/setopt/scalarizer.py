@@ -7,9 +7,13 @@ routes, via the order relation and via the scalar field, and the two
 must agree.
 
 On the grid both routes reduce the problem's stored clouds per cloud.
-Off the grid (analytic kinds only) the map is evaluated at most once per
-point: `scalar_value_at` keeps the value, a float and never the cloud,
-of every point it has evaluated, keyed by the point's float64 bytes.
+Off the grid (analytic kinds only) `scalar_values_at` takes a whole batch
+of points.  It keeps the value, a float and never the cloud, of every
+point it has evaluated, keyed by the point's float64 bytes, so the map is
+evaluated at most once per point and problem.  The points the memo
+misses are evaluated together, in one batch call to the map; each
+cloud's scores come from one matrix product of that cloud's own shape,
+so a value has the same bits in any batch.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cone as _cone
-from .errors import InternalConsistencyError
-from .problem import SetValuedProblem, evaluate_at
+from .errors import InternalConsistencyError, ProblemValidationError
+from .problem import MAX_CLOUD_POINTS, SetValuedProblem, first_failure
 from .setrel import PointCloudSet, strictly_lower_less
 
 __all__ = [
@@ -28,6 +32,7 @@ __all__ = [
     "scalar_field",
     "scalar_value",
     "scalar_value_at",
+    "scalar_values_at",
     "global_inf",
     "colevel",
     "colevel_points",
@@ -61,17 +66,50 @@ def scalar_value(problem: SetValuedProblem, x) -> float:
 
 
 def scalar_value_at(problem: SetValuedProblem, x) -> float:
-    """Scalarization at an arbitrary domain point; analytic kinds only.
+    """Scalarization at one arbitrary domain point; see `scalar_values_at`."""
+    return float(scalar_values_at(problem, np.reshape(np.asarray(x, dtype=float), (1, -1)))[0])
 
-    The value is kept per point, so each point is evaluated once per problem.
+
+def scalar_values_at(problem: SetValuedProblem, X) -> np.ndarray:
+    """Scalarization at the rows of an (n, d) array of domain points; analytic kinds only.
+
+    The value is kept per point, so each point is evaluated once per
+    problem.  The points not kept yet are evaluated in one call to the
+    map, split only so that no call holds more cloud points than a problem
+    may store.  A failing point raises the error of the first one in X.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
+    if not problem.map_model.is_analytic:
+        raise ProblemValidationError("table maps cannot be evaluated off the grid")
+    X = np.ascontiguousarray(X, dtype=float)
     memo = problem._cache.setdefault("off_grid_values", {})
-    key = x.tobytes()
-    if key not in memo:
-        cloud = evaluate_at(problem, x)
-        memo[key] = float(np.min(_cone.gerstewitz_many(problem.cone, cloud.points)))
-    return memo[key]
+    keys = [row.tobytes() for row in X]
+    new = {}  # the first row of each point the memo misses
+    for i, key in enumerate(keys):
+        if key not in memo:
+            new.setdefault(key, i)
+    fresh, rows = list(new), X[list(new.values())]
+    step = max(1, MAX_CLOUD_POINTS // problem.map_model.largest_cloud)
+    for lo in range(0, len(rows), step):
+        values = first_failure(lambda Y: _cloud_minima(problem, Y), rows[lo:lo + step])
+        memo.update(zip(fresh[lo:lo + step], values.tolist()))
+    return np.array([memo[key] for key in keys])
+
+
+def _cloud_minima(problem: SetValuedProblem, X: np.ndarray) -> np.ndarray:
+    """The least Gerstewitz value over the cloud at each row of X.
+
+    Clouds of one size are scored by one stacked product, a product per
+    cloud: a flat product over all rows would take another BLAS kernel
+    for one-point clouds and round them differently.
+    """
+    points, starts, _ = problem.map_model.clouds_at(X)
+    sizes = np.diff(starts, append=len(points))
+    values = np.empty(len(X))
+    for size in np.unique(sizes):
+        rows = np.flatnonzero(sizes == size)
+        stack = points[starts[rows, None] + np.arange(size)]
+        values[rows] = _cone.gerstewitz_many(problem.cone, stack).min(axis=1)
+    return values
 
 
 def global_inf(problem: SetValuedProblem) -> float:

@@ -97,10 +97,11 @@ class _RowTest:
     def __init__(self, problem: SetValuedProblem):
         cone = self.cone = problem.cone
         tol = cone.cone_tol
-        self.clouds = [c.points for c in problem.clouds]
-        n = len(self.clouds)
-        sizes = np.array([len(c) for c in self.clouds])
         starts = problem.cloud_starts
+        ends = np.append(starts[1:], len(problem.cloud_points))
+        self.clouds = [problem.cloud_points[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
+        n = len(self.clouds)
+        sizes = ends - starts
         owner = np.repeat(np.arange(n), sizes)
         scores, mags = problem.cloud_scores, problem.cloud_magnitudes  # (R, k), (N, k)
         self.staircase = scores.shape[1] <= 2

@@ -294,6 +294,15 @@ def _unreached_region(name, region):
     ("map.parameters.samples", _edited("ramp_gap", "map", value={
         "kind": "ball", "parameters": {"center": {"family": "identity"}, "radius": 1.0,
                                        "samples": 2**70}})),
+    # clouds that would hold more points than a problem stores, rejected
+    # before the store is allocated: 90,000 rings of 360 points, 13 rings of
+    # 400,000 points, and 200 copies of a 30,000-point square
+    ("domain.resolution", _edited("shifted_disc", "domain", "resolution", value=[300, 300])),
+    ("map.parameters.samples", _edited("wedge_strip", "map", value={
+        "kind": "ball", "parameters": {"center": {"family": "fixed", "value": [0.0, 0.0]},
+                                       "radius": 1.0, "samples": 400_000}})),
+    ("domain.resolution", _edited("tradeoff_segment", "map", "parameters", "regions", 1, "cloud",
+                                  "points", value=[[3.0 + k / 1e4, 3.0] for k in range(30_000)])),
 ])
 def test_malformed_document_exits_1_naming_its_path(path, make, capsys, tmp_path):
     bad = tmp_path / "bad.json"

@@ -177,18 +177,29 @@ def test_refine_verdicts(decay):
     assert diagnostics._refine(_table_with_gap(), np.array([1.0]), 0.0, None) == ("unresolved", [])
 
 
+def _constant_box(resolution):
+    """A constant map on the box [-1, 1]^d at the given resolution."""
+    return _build({"cone": {"dual_generators": [[1.0]], "q": [1.0]},
+                   "domain": {"box": [[-1.0, 1.0]] * len(resolution), "resolution": resolution},
+                   "map": {"kind": "constant", "parameters": {"cloud": [[0.0]]}}})
+
+
 @pytest.mark.parametrize("fraction", [0.05, 0.5, 0.95])
 def test_collar_matches_a_pairwise_chebyshev_scan(fraction):
-    # the collar loops over whichever side is smaller, so cover both
+    # box grids in one to three dimensions with unequal resolutions, and a
+    # grid given as points, whose collar loops over whichever side is smaller
+    problems = [_constant_box(resolution) for resolution in
+                ([11], [7, 5], [5, 9], [9, 5], [7, 21], [3, 3], [4, 3, 5], [2, 6, 3])]
     doc = fixture_catalog.document("shifted_disc", samples=8)
-    doc["domain"]["resolution"] = [7, 5]  # unequal steps
-    prob = _build(doc)
-    pts, steps = prob.grid.points, prob.grid.step_estimate()
-    rng = np.random.default_rng(int(100 * fraction))
-    members = np.flatnonzero(rng.random(len(pts)) < fraction)
-    gaps = np.max(np.abs(pts[:, None, :] - pts[None, members, :]) / steps, axis=2)
-    expected = [i for i in range(len(pts)) if i not in members and (gaps[i] <= 1.01).any()]
-    np.testing.assert_array_equal(diagnostics._collar(prob, members), expected)
+    doc["domain"]["resolution"] = [7, 5]
+    problems.append(_build({**doc, "domain": {"points": _build(doc).grid.points.tolist()}}))
+    for prob in problems:
+        pts, steps = prob.grid.points, prob.grid.step_estimate()
+        rng = np.random.default_rng(int(100 * fraction))
+        members = np.flatnonzero(rng.random(len(pts)) < fraction)
+        gaps = np.max(np.abs(pts[:, None, :] - pts[None, members, :]) / steps, axis=2)
+        expected = [i for i in range(len(pts)) if i not in members and (gaps[i] <= 1.01).any()]
+        np.testing.assert_array_equal(diagnostics._collar(prob, members), expected)
 
 
 def test_coercivity_verdicts(shifted72, decay):

@@ -4,10 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from setopt import (DomainGrid, MapModel, ProblemValidationError, build_problem, colevel,
-                    colevel_at_set, evaluate, evaluate_at, global_inf, scalar_field, solve,
-                    to_document)
+from setopt import (DomainGrid, MapModel, ProblemValidationError, SetOptError, build_problem,
+                    colevel, colevel_at_set, evaluate, evaluate_at, gerstewitz_many, global_inf,
+                    scalar_field, scalar_value_at, scalar_values_at, solve, to_document)
 from setopt import asymptotics, diagnostics, scalarizer
+from setopt import problem as problem_module
+from setopt.problem import REGION_TOL, first_failure
 from setopt import fixtures as fixture_catalog
 from setopt.cli import main
 
@@ -148,25 +150,25 @@ def test_fixture_documents_round_trip():
         assert rebuilt == doc, f"round trip changed {name}"
 
 
-def counted_cloud_at(monkeypatch):
-    """Count MapModel.cloud_at calls; returns the list of evaluated points."""
-    calls = []
-    real = MapModel.cloud_at
+def counted_clouds_at(monkeypatch):
+    """Record the batches MapModel.clouds_at evaluates; returns the list of them."""
+    batches = []
+    real = MapModel.clouds_at
 
-    def cloud_at(self, x):
-        calls.append(x)
-        return real(self, x)
+    def clouds_at(self, X):
+        batches.append(np.array(X, dtype=float))
+        return real(self, X)
 
-    monkeypatch.setattr(MapModel, "cloud_at", cloud_at)
-    return calls
+    monkeypatch.setattr(MapModel, "clouds_at", clouds_at)
+    return batches
 
 
 @pytest.mark.parametrize("name", sorted(fixture_catalog.FIXTURES))
 def test_each_grid_cloud_is_evaluated_once(name, monkeypatch):
-    calls = counted_cloud_at(monkeypatch)
+    batches = counted_clouds_at(monkeypatch)
     prob = fixture_catalog.build(name)
-    assert len(calls) == len(prob.grid)
-    np.testing.assert_array_equal(np.array(calls), prob.grid.points)
+    assert len(batches) == 1  # the build evaluates the whole grid in one call
+    np.testing.assert_array_equal(batches[0], prob.grid.points)
 
     solve(prob)
     field = scalar_field(prob)
@@ -174,7 +176,7 @@ def test_each_grid_cloud_is_evaluated_once(name, monkeypatch):
     for x in prob.grid.points:
         evaluate(prob, x)
     colevel_at_set(prob, evaluate(prob, prob.grid.points[0]))
-    assert len(calls) == len(prob.grid)
+    assert len(batches) == 1
 
 
 @pytest.mark.parametrize("name", ["decay_tail", "shifted_disc"])
@@ -184,21 +186,21 @@ def test_each_off_grid_point_is_evaluated_once(name, command, monkeypatch, tmp_p
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(fixture_catalog.document(name)))
     grid = fixture_catalog.build(name).grid.points
-    calls = counted_cloud_at(monkeypatch)
+    batches = counted_clouds_at(monkeypatch)
     passed = []
-    real = scalarizer.scalar_value_at
+    real = scalarizer.scalar_values_at
 
-    def scalar_value_at(problem, x):
-        passed.append(np.asarray(x, dtype=float).tobytes())
-        return real(problem, x)
+    def scalar_values_at(problem, X):
+        passed.extend(row.tobytes() for row in np.array(X, dtype=float))
+        return real(problem, X)
 
     for module in (diagnostics, asymptotics):
-        monkeypatch.setattr(module, "scalar_value_at", scalar_value_at)
+        monkeypatch.setattr(module, "scalar_values_at", scalar_values_at)
     assert main([*command, str(path)]) == 0
     capsys.readouterr()
 
-    np.testing.assert_array_equal(np.array(calls[:len(grid)]), grid)
-    off_grid = [np.asarray(x, dtype=float).tobytes() for x in calls[len(grid):]]
+    np.testing.assert_array_equal(batches[0], grid)
+    off_grid = [row.tobytes() for batch in batches[1:] for row in batch]
     assert len(passed) > len(set(passed))  # the checkers do revisit points
     assert sorted(off_grid) == sorted(set(passed))
 
@@ -257,3 +259,174 @@ def test_map_model_reads_its_parameters_once(doc):
         assert again.points.shape == cloud.points.shape
         assert again.sampling_note == cloud.sampling_note
     assert model.sampling_notes() == notes
+
+
+# -- batch evaluation ----------------------------------------------------------
+
+_SKEW = {"dual_generators": [[1.0, 0.3], [0.2, 1.0]], "q": [1.0, 1.0]}
+_LINE = {"dual_generators": [[1.0]], "q": [1.0]}
+_AFFINE_2D = {"type": "affine_point", "matrix": [[0.3, -1.7], [2.1, 0.9]], "offset": [0.05, -0.2]}
+
+# name -> (cone, grid points the map evaluates on, special points, map document);
+# the special points are where pieces, regions and overrides begin and end
+_BATCH_MAPS = {
+    "constant": (_SKEW, [[0.0]], [[0.0]], {"kind": "constant", "parameters": {
+        "cloud": [[0.1, 0.7], [1.3, -0.2], [0.4, 0.4]], "sampling_note": "three points"}}),
+    "interval": (_LINE, [[-1.0], [0.5], [2.0]], [[0.0], [1.0], [3.0]], {
+        "kind": "interval", "parameters": {
+            # no piece covers |x| <= REGION_TOL, and 3 is a pole of the last one
+            "lower": [{"hi": 0.0, "hi_strict": True, "fn": {"type": "const", "c": -1.0}},
+                      {"lo": 0.0, "lo_strict": True, "hi": 1.0,
+                       "fn": {"type": "linear", "a": 0.75, "b": 0.875}},
+                      {"lo": 1.0, "lo_strict": True,
+                       "fn": {"type": "inv_linear", "a": 1.0, "b": -3.0, "offset": 0.1}}],
+            "upper": [{"fn": {"type": "quadratic", "a": 1.0, "b": 0.1, "c": 2.0}}]}}),
+    "ball": (_SKEW, [[0.0, 0.0]], [[1.0, 0.0], [0.0, -1.0], [0.0, 0.0]], {
+        "kind": "ball", "parameters": {"radius": 0.7, "samples": 7, "center": {
+            "family": "abs_components",
+            "overrides": [{"at": [1.0, 0.0], "value": [-3.0, 2.0]},
+                          {"at": [0.0, -1.0], "value": [0.5, 0.25]}]}}}),
+    "ball_fixed": (_SKEW, [[0.0, 0.0]], [[0.5, 0.5]], {
+        "kind": "ball", "parameters": {"radius": 1.3, "samples": 5, "center": {
+            "family": "fixed", "value": [0.2, -0.1],
+            "overrides": [{"at": [0.5, 0.5], "value": [1.0, 1.0]}]}}}),
+    # off its override, an identity centre needs 2D domain points
+    "ball_identity_1d": (_SKEW, [[0.5]], [[0.5]], {
+        "kind": "ball", "parameters": {"radius": 1.0, "samples": 4, "center": {
+            "family": "identity", "overrides": [{"at": [0.5], "value": [1.0, 1.0]}]}}}),
+    "piecewise": (_SKEW, [[-1.0], [0.5], [3.0]], [[0.0], [0.5], [2.0]], {
+        "kind": "piecewise", "parameters": {"regions": [
+            {"where": {"type": "eq", "point": [0.5]},
+             "cloud": {"points": [[0.25, 0.5]], "sampling_note": "at one half"}},
+            {"where": {"type": "interval", "hi": 0.0},
+             "cloud": {"type": "affine_point", "matrix": [[1.0], [-0.7]], "offset": [0.1, 1.0]}},
+            {"where": {"type": "interval", "lo": 0.0, "lo_strict": True, "hi": 2.0},
+             "cloud": {"points": [[0.0, 1.0], [0.6, 0.3], [1.1, -0.4]], "sampling_note": "three"}},
+            {"cloud": {"type": "affine_point", "matrix": [[0.3], [1.1]], "offset": [0.0, 0.0]}}]}}),
+    "piecewise_2d": (_SKEW, [[0.0, 0.0]], [[1.0, 1.0], [0.0, 0.0]], {
+        "kind": "piecewise", "parameters": {"regions": [
+            {"where": {"type": "eq", "point": [1.0, 1.0]}, "cloud": {"points": [[2.0, 2.0]]}},
+            {"cloud": _AFFINE_2D}]}}),
+    # off its eq point, the interval region is reached with 2D points
+    "piecewise_2d_interval": (_SKEW, [[1.0, 1.0]], [[1.0, 1.0]], {
+        "kind": "piecewise", "parameters": {"regions": [
+            {"where": {"type": "eq", "point": [1.0, 1.0]}, "cloud": {"points": [[2.0, 2.0]]}},
+            {"where": {"type": "interval", "hi": 0.0}, "cloud": {"points": [[0.0, 0.0]]}}]}}),
+}
+_OFFSETS = np.array([0.0, 0.5, 1.0, 1.5, 2.0, -0.5, -1.0, -1.5, -2.0]) * REGION_TOL
+
+
+def _one_at_a_time(f, X):
+    """f of each row of X up to the first error, and that error's message (None if none)."""
+    out = []
+    for x in X:
+        try:
+            out.append(f(x))
+        except SetOptError as exc:
+            return out, str(exc)
+    return out, None
+
+
+def _batch(rng, special, size=40):
+    """Rows on the special points and within a few REGION_TOL of them, random rows,
+    and repeats of both, shuffled."""
+    special = np.asarray(special, dtype=float)
+    near = special[rng.integers(len(special), size=size // 2)]
+    near = near + rng.choice(_OFFSETS, near.shape)
+    X = np.concatenate([near, rng.uniform(-4.0, 4.0, (size // 4, special.shape[1]))])
+    X = np.concatenate([X, X[rng.integers(len(X), size=size // 4)]])
+    return X[rng.permutation(len(X))]
+
+
+def _batches(f, rng, special):
+    """A random batch, which may fail mid-batch, and its rows on which f succeeds alone."""
+    X = _batch(rng, special)
+    ok = np.array([_one_at_a_time(f, [x])[1] is None for x in X])
+    return X, X[ok]
+
+
+@pytest.mark.parametrize("name", sorted(_BATCH_MAPS))
+@pytest.mark.parametrize("seed", range(6))
+def test_each_batch_row_is_the_cloud_of_that_point_alone(name, seed):
+    model = build_problem({"schema_version": "1", "cone": _BATCH_MAPS[name][0],
+                           "domain": {"points": _BATCH_MAPS[name][1]},
+                           "map": _BATCH_MAPS[name][3]}).map_model
+    for X in _batches(model.cloud_at, np.random.default_rng(seed), _BATCH_MAPS[name][2]):
+        clouds, error = _one_at_a_time(model.cloud_at, X)
+        if error is not None:
+            with pytest.raises(SetOptError) as raised:
+                first_failure(model.clouds_at, X)
+            assert str(raised.value) == error
+            continue
+        points, starts, notes = first_failure(model.clouds_at, X)
+        ends = np.append(starts[1:], len(points))
+        assert len(clouds) == len(starts) == len(notes)
+        for cloud, start, end, note in zip(clouds, starts, ends, notes):
+            assert points[start:end].shape == cloud.points.shape
+            assert points[start:end].tobytes() == cloud.points.tobytes()
+            assert note == cloud.sampling_note
+
+
+def test_affine_rows_are_one_matrix_vector_product_each():
+    model = MapModel(kind="piecewise", params={"regions": [{"cloud": _AFFINE_2D}]})
+    X = np.random.default_rng(5).normal(size=(50, 2)) * 10.0 ** np.arange(-3, 2).repeat(10)[:, None]
+    matrix, offset = np.array(_AFFINE_2D["matrix"]), np.array(_AFFINE_2D["offset"])
+    points, _, _ = model.clouds_at(X)
+    assert points.tobytes() == np.array([matrix @ x + offset for x in X]).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_BATCH_MAPS) + ["mixed_widths"])
+@pytest.mark.parametrize("seed", range(6))
+def test_scalar_values_at_matches_one_point_at_a_time(name, seed):
+    if name == "mixed_widths":  # past 5 the clouds have three coordinates, not two
+        cone, grid, special = _SKEW, [[0.0]], [[5.0], [4.0]]
+        map_doc = {"kind": "piecewise", "parameters": {"regions": [
+            {"where": {"type": "interval", "hi": 5.0}, "cloud": {"points": [[0.5, 1.5]]}},
+            {"cloud": {"points": [[0.5, 1.5, 2.0], [1.0, 0.0, 0.0]]}}]}}
+    else:
+        cone, grid, special, map_doc = _BATCH_MAPS[name]
+    doc = {"schema_version": "1", "cone": cone, "domain": {"points": grid}, "map": map_doc}
+    model = build_problem(doc).map_model
+    cone_spec = build_problem(doc).cone
+
+    def value(x):  # the one-point scalarization, as evaluated point by point
+        return float(np.min(gerstewitz_many(cone_spec, model.cloud_at(x).points)))
+
+    for X in _batches(value, np.random.default_rng(seed), special):
+        expected, error = _one_at_a_time(value, X)
+        if error is not None:
+            with pytest.raises(SetOptError) as raised:
+                scalar_values_at(build_problem(doc), X)
+            assert str(raised.value) == error
+            continue
+        assert scalar_values_at(build_problem(doc), X).tobytes() == np.array(expected).tobytes()
+        one_point = build_problem(doc)
+        assert [scalar_value_at(one_point, x) for x in X] == expected
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_table_lookup_matches_an_argmin_scan(seed, monkeypatch):
+    monkeypatch.setattr(problem_module, "_LOOKUP_BLOCK", 5)  # several blocks per batch
+    rng = np.random.default_rng(seed)
+    dim = 1 + seed % 2
+    base = rng.choice([-1.0, 0.0, 0.5, 2.0], (12, dim))  # shared first coordinates
+    # points closer together than REGION_TOL, and exact repeats (ties)
+    pts = np.concatenate([base, base[:6] + rng.choice([0.3, 0.9, 1.5, -0.6], (6, dim)) * REGION_TOL,
+                          base[:3]])
+    model = MapModel(kind="table", params={"points": pts.tolist(),
+                                           "clouds": [[[float(k)]] for k in range(len(pts))]})
+    X = _batch(rng, pts, size=80)
+
+    def argmin_scan(x):  # the first nearest entry within REGION_TOL, else none
+        dists = np.max(np.abs(pts - x), axis=1)
+        return int(np.argmin(dists)) if dists.min() <= REGION_TOL else -1
+
+    expected = np.array([argmin_scan(x) for x in X])
+    found = expected >= 0
+    assert found.any() and not found.all()
+    np.testing.assert_array_equal(model.clouds_at(X[found])[0][:, 0], expected[found])
+    _, error = _one_at_a_time(model.cloud_at, X)
+    assert error.startswith("table map has no entry")
+    with pytest.raises(ProblemValidationError) as raised:
+        first_failure(model.clouds_at, X)
+    assert str(raised.value) == error

@@ -262,9 +262,9 @@ def test_sweep_reads_any_relation_the_psi_bound_allows(monkeypatch):
     for _ in range(300):
         n = int(rng.integers(1, 10))
         prob = table_problem([[[1e6 + k, 1e6]] for k in range(n)], ConeSpec.orthant(2))
-        index = {id(c.points): k for k, c in enumerate(prob.clouds)}
+        index = {c.points.tobytes(): k for k, c in enumerate(prob.clouds)}
         monkeypatch.setattr(setrel, "covers", lambda a, b, cone, strict:
-                            bool(relation[index[id(a)], index[id(b)]]))
+                            bool(relation[index[a.tobytes()], index[b.tobytes()]]))
         relation = rng.random((n, n)) < rng.uniform(0.05, 0.7)
         assert_sweep_matches_matrix(prob)
         split += len(weak_efficient_brute(prob)) > len(strict_weak_efficient_brute(prob))

@@ -125,9 +125,10 @@ def colevel(problem: SetValuedProblem, lam: float) -> np.ndarray:
     has <w, b> - <w, lam * q> > cone_tol for every dual generator w; it
     tests the relation generator by generator, never the value of the
     scalarization.  Route two thresholds the scalar field at lam.  Route
-    two is returned; any disagreement beyond the tie tolerance band
-    raises, since it signals misconfigured tolerances rather than bad
-    input.
+    two is returned.  The routes may differ where psi lies within the tie
+    band of lam or up to tau = cone_tol / min_w <w, q> above it, since the
+    relation drops x only when psi(F(x)) - lam exceeds cone_tol / <w, q>
+    for every w; a disagreement outside that band raises.
     """
     field = scalar_field(problem)
     tie = problem.tolerances.tie_tol
@@ -138,9 +139,10 @@ def colevel(problem: SetValuedProblem, lam: float) -> np.ndarray:
     above = (problem.cloud_scores - probe > cone.cone_tol).all(axis=1)
     by_relation = ~np.logical_and.reduceat(above, problem.cloud_starts)
 
+    band = 2.0 * tie + cone.cone_tol / cone._unit_scores.min()
     disagree = np.flatnonzero(by_field != by_relation)
     for i in disagree:
-        if abs(field.values[i] - lam) > 2.0 * tie:
+        if abs(field.values[i] - lam) > band:
             raise InternalConsistencyError(
                 f"colevel routes disagree at grid index {i}: "
                 f"value {field.values[i]} vs threshold {lam}"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from setopt import (PointCloudSet, colevel, colevel_at_set, colevel_points, contains,
+from setopt import (ConeSpec, PointCloudSet, SetValuedProblem, colevel, colevel_at_set, colevel_points, contains,
                     evaluate, global_inf, scalar_field, scalar_value, strictly_lower_less)
 from setopt.sampling import random_problem
 
@@ -46,6 +46,17 @@ def test_interval_kind_matches_lower_bound_threshold(kinked):
         assert got == expected
     lower = np.where(xs < -1e-9, -xs, np.where(xs < 1.0 - 1e-9, xs, 2 * xs))
     np.testing.assert_allclose(field.values, lower, atol=1e-12)
+
+
+def test_colevel_routes_may_differ_within_a_wide_cone_tol():
+    # psi = 0.3 lies above lam = 0 but within cone_tol = 0.5 of it, so the
+    # relation keeps every point while the threshold keeps none; the
+    # thresholded field is returned and no route check fires
+    prob = constant_problem([[0.3]])
+    prob = SetValuedProblem(grid=prob.grid, map_model=prob.map_model,
+                            cone=ConeSpec.orthant(1, cone_tol=0.5))
+    assert len(colevel(prob, 0.0)) == 0
+    assert len(colevel(prob, 0.3)) == len(prob.grid.points)
 
 
 def test_colevel_monotone(ramp):

@@ -275,6 +275,27 @@ def _cloud(value, path: str, note) -> PointCloudSet:
         raise ProblemValidationError(f"{path}: {exc}") from None
 
 
+def _stacked_clouds(clouds: list):
+    """The clouds of a JSON list stacked into one (R, m) array, read in one pass.
+
+    None unless every entry is a nonempty list of at most MAX_CLOUD_POINTS
+    points of one width m >= 1 whose coordinates are finite numbers, which
+    are the checks `_cloud` makes of each entry; the caller then reads the
+    entries one by one, so that the first failing entry is named.
+    """
+    if not all(type(cloud) is list and 0 < len(cloud) <= MAX_CLOUD_POINTS for cloud in clouds):
+        return None
+    rows = list(itertools.chain.from_iterable(clouds))
+    try:
+        points = np.array(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # ragged, not numbers, or beyond floats
+        return None
+    if (points.ndim != 2 or points.shape[1] == 0 or not np.isfinite(points).all()
+            or not {bool, str}.isdisjoint(map(type, itertools.chain.from_iterable(rows)))):
+        return None
+    return points
+
+
 def _entries(items, path: str, *known: str) -> list[tuple[dict, str]]:
     """(item, its path) per item of the JSON list items; each an object with keys in known."""
     if not isinstance(items, list):
@@ -460,13 +481,15 @@ def _read_table(params, notes: list):
         raise ProblemValidationError(f"table map needs matching {_PARAMS}.points and clouds")
     if np.isnan(pts).any():
         raise ProblemValidationError(f"{_PARAMS}.points must not hold NaN")
-    clouds = [_cloud(cloud, f"{_PARAMS}.clouds[{i}]", note) for i, cloud in enumerate(clouds)]
+    stacked = _stacked_clouds(clouds)
+    if stacked is None:  # some entry fails a check, or the widths differ
+        clouds = [_cloud(cloud, f"{_PARAMS}.clouds[{i}]", note) for i, cloud in enumerate(clouds)]
+        if len({c.dim for c in clouds}) == 1:
+            stacked = np.concatenate([c.points for c in clouds])
     order = np.argsort(pts[:, 0], kind="stable")
     keys = pts[order, 0]
     sizes = np.array([len(c) for c in clouds])
     offsets = np.cumsum(sizes) - sizes
-    one_width = len({c.dim for c in clouds}) == 1
-    stacked = np.concatenate([c.points for c in clouds]) if one_width else None
     def table(X: np.ndarray):
         if X.shape[1:] != pts.shape[1:]:
             raise ProblemValidationError(f"{_PARAMS}.points have dimension {pts.shape[1]}, but "
@@ -477,9 +500,9 @@ def _read_table(params, notes: list):
                 f"table map has no entry for x={X[np.argmax(index < 0)].tolist()}")
         chosen = sizes[index]
         starts = _starts(chosen, "domain.resolution")
-        if one_width:
+        if stacked is not None:
             rows = np.repeat(offsets[index] - starts, chosen) + np.arange(int(chosen.sum()))
-            points = stacked[rows]
+            points = stacked.take(rows, axis=0)
         elif len({clouds[i].dim for i in index.tolist()}) == 1:
             points = np.concatenate([clouds[i].points for i in index])
         else:

@@ -8,21 +8,25 @@ true D[i, j] is matched by a true D[j, i].  Both are computed from the
 problem's stored clouds and generator scores; the map is not evaluated
 again.
 
-The row test decides one row of D in score space, for any number k of
-generators.  With the scores S = P @ W.T of all R cloud points computed
-once, b is covered by A iff some a in A has S_a < S_b - cone_tol in
-every generator.  With k <= 2 it is a staircase (Kung, Luccio &
-Preparata, J. ACM 1975): each cloud is cut to its minimal points in
-score space, sorted by the first score with the prefix minimum of the
-second, and one searchsorted decides every point of every column, so a
-row costs O(R log p) time.  With k >= 3 the row cloud's points are
-compared one at a time, O(R * p * k).  The kernel compares score
-differences fl(S_b) - fl(S_a) where the oracle `setrel.covers` compares
-fl(<w, fl(b - a)>), so each row is decided at cone_tol +- band, where
-band bounds the gap between the two roundings.  A pair the two passes
-decide alike is decided the same way by the oracle; a pair they split is
-handed to `setrel.covers`.  Every row is therefore exactly what the
-pairwise oracle gives.
+The row test decides a block of rows of D in score space, for any number
+k of generators.  With the scores S = P @ W.T of all R cloud points
+computed once, b is covered by A iff some a in A has S_a < S_b - cone_tol
+in every generator.  Only the minimal points of a cloud in score space
+matter, on either side: a b with some b' of its cloud at or below it in
+every score is covered whenever b' is, and such an a witnesses nothing b'
+does not.  So each cloud is cut to its minimal points first, keeping one
+of equal points.  With k <= 2 the cut is a staircase (Kung, Luccio &
+Preparata, J. ACM 1975), sorted by the first score with the prefix
+minimum of the second, and one searchsorted per row decides every point
+of every column, O(R log p).  With k >= 3 the cut is a sort-filter
+skyline (Chomicki, Godfrey, Gryz & Liang, ICDE 2003), and every row point
+is compared with every column point, generator by generator.  The kernel
+compares score differences fl(S_b) - fl(S_a) where the oracle
+`setrel.covers` compares fl(<w, fl(b - a)>), so each row is decided at
+cone_tol +- band, where band bounds the gap between the two roundings.  A
+pair the two passes decide alike is decided the same way by the oracle; a
+pair they split is handed to `setrel.covers`.  Every row is therefore
+exactly what the pairwise oracle gives.
 
 `efficient_sets` never builds D.  It rests on the monotonicity of the
 scalarization psi: with delta = cone_tol / max_w <w, q>, A <l B implies
@@ -49,20 +53,31 @@ the float maximum, so every key is finite.
 
 The sweep visits rows in ascending psi.  Row i is tested only against
 the live columns j with top_j = psi_j + beta mu_j at least
-reach_i = psi_i + delta - beta (mu_i + tau); a column is removed at its
-first dominator, which is recorded.  The strict set is the columns never
-removed.  A removed column j is weak only if j dominates every dominator
-back, and D[j, i] with D[i, j] needs both in each other's window, so
-|psi_i - psi_j| <= slack.  Only a column whose first dominator lies in its
-own window is checked further, with `setrel.covers`, against the rows
-visited after that dominator that can reach it.  With the default
-cone_tol that happens only for clouds whose scores are some hundreds or
-more; for the rest the weak set equals the strict set at no cost.  Memory
-is O(N + R); time is one row test per row over its live window.
+reach_i = psi_i + delta - beta (mu_i + tau), its window; a column is
+removed at its first dominator, which is recorded.  Rows are taken in
+blocks of consecutive rows, one kernel call per block, against the
+columns live at the block's start, each row masked to its own window and
+never tested against itself; a column's first dominator is the earliest
+block row that hits it, and the columns hit are removed after the block.
+A column live when row i comes up one row at a time is live at the
+block's start and in the same window, and a column that an earlier row
+of the block removes is hit first by that row, so the first dominators
+are the same whatever the block size.  A block compares at most
+_BLOCK_PAIRS pairs of a row (k <= 2) or a row point (k >= 3) with a
+column point, unless it is a single row.  The strict set is the columns
+never removed.  A removed column j is weak only if j dominates every
+dominator back, and D[j, i] with D[i, j] needs both in each other's
+window, so |psi_i - psi_j| <= slack.  Only a column whose first
+dominator lies in its own window is checked further, with
+`setrel.covers`, against the rows visited after that dominator that can
+reach it.  With the default cone_tol that happens only for clouds whose
+scores are some hundreds or more; for the rest the weak set equals the
+strict set at no cost.  Memory is O(N + R) plus one block's scratch;
+time is one kernel call per block over the live windows.
 
-`domination_matrix` builds D itself, N x N, with the same row test.  It
-is the oracle the tests compare the sweep against; nothing in the
-production path calls it.  No threads are used.
+`domination_matrix` builds D itself, N x N, one row at a time with the
+same kernel.  It is the oracle the tests compare the sweep against;
+nothing in the production path calls it.  No threads are used.
 """
 
 from __future__ import annotations
@@ -76,9 +91,21 @@ from .errors import InternalConsistencyError
 from .problem import SetValuedProblem
 from .scalarizer import scalar_field
 
+# The most point pairs one step compares at once: a sweep block's rows
+# (k <= 2) or row points (k >= 3) times its column points, and the pairs
+# of one chunk of the k >= 3 cut.
+_BLOCK_PAIRS = 4096
+
+
+def _runs(starts: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of the runs starts[c], ..., starts[c] + sizes[c] - 1 laid end
+    to end, and where each run begins in them."""
+    offsets = np.cumsum(sizes) - sizes
+    return np.arange(int(sizes.sum())) + np.repeat(starts - offsets, sizes), offsets
+
 
 class _RowTest:
-    """One row of D at a time: D[i, cols] by the banded score-space test.
+    """D[rows, cols] by the banded score-space test, a block of rows at a time.
 
     Scores S = P @ W.T are rounded once per point, so S_b - S_a differs
     from the oracle's fl(<w, fl(b - a)>) by at most
@@ -88,10 +115,13 @@ class _RowTest:
     A row is decided at cone_tol + band, where "covered" implies the
     oracle's verdict, and at cone_tol - band, where "not covered" does;
     pairs on which the two disagree are re-decided by `setrel.covers`,
-    so every row equals the pairwise oracle bit for bit.  The covered
-    test is a staircase searchsorted with k <= 2 generators (a single
-    generator fills both slots) and a point-by-point comparison with
-    k >= 3.  Scratch memory is O(R) per row.
+    so every row equals the pairwise oracle bit for bit.  Each cloud is
+    cut to its minimal points in score space.  The covered test is a
+    staircase searchsorted per row with k <= 2 generators (a single
+    generator fills both slots) and, with k >= 3, a comparison of every
+    row point with every column point, one generator at a time, in chunks
+    of about _BLOCK_PAIRS pairs.  Scratch memory is O(B C) for a block of
+    B rows against C column points.
     """
 
     def __init__(self, problem: SetValuedProblem):
@@ -101,21 +131,20 @@ class _RowTest:
         ends = np.append(starts[1:], len(problem.cloud_points))
         self.clouds = [problem.cloud_points[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
         n = len(self.clouds)
-        sizes = ends - starts
-        owner = np.repeat(np.arange(n), sizes)
+        owner = np.repeat(np.arange(n), ends - starts)
         scores, mags = problem.cloud_scores, problem.cloud_magnitudes  # (R, k), (N, k)
         self.staircase = scores.shape[1] <= 2
         if scores.shape[1] == 1:
             scores = np.repeat(scores, 2, axis=1)
             mags = np.repeat(mags, 2, axis=1)
+        # Only the minimal points of a cloud in score space matter on either
+        # side: a dominated b is covered whenever the point below it is, and a
+        # dominated a witnesses nothing the point below it does not.
+        keep = (_staircase_points if self.staircase else _skyline_points)(scores, owner)
+        scores, owner = scores.take(keep, axis=0), owner[keep]  # take: a fast row gather
+        sizes = np.bincount(owner, minlength=n)
+        starts = np.cumsum(sizes) - sizes
         if self.staircase:
-            # Only the minimal points of a cloud in score space matter on either
-            # side: a dominated b is covered whenever the point below it is, and a
-            # dominated a witnesses nothing the point below it does not.
-            keep = _staircase_points(scores, owner)
-            scores, owner = scores[keep], owner[keep]
-            sizes = np.bincount(owner, minlength=n)
-            starts = np.cumsum(sizes) - sizes
             # cloud i's staircase: first score ascending, second strictly
             # descending, and in `second` preceded by +inf for "no point of A
             # is low enough"
@@ -123,33 +152,46 @@ class _RowTest:
             self.second = np.insert(scores[:, 1], starts, np.inf)
         self.scores, self.sizes, self.starts = scores, sizes, starts
         beta = self.beta = 2 * (cone.dim_image + 2) * np.finfo(float).eps
-        # thresholds[pass, generator, b] for pass 0 at cone_tol + band (covered
+        # thresholds[b, pass, generator] for pass 0 at cone_tol + band (covered
         # implies the oracle's verdict) and pass 1 at cone_tol - band (not
         # covered implies it); the row's half of the band is added per row
-        col_band = (beta * (mags + tol))[owner].T
-        base = scores.T - tol
-        self.thresholds = np.stack([base - col_band, base + col_band])
-        self.row_band = np.array([-beta, beta])[None, :, None, None] * mags[:, None, :, None]
+        col_band = (beta * (mags + tol)).take(owner, axis=0)
+        base = scores - tol
+        self.thresholds = np.stack([base - col_band, base + col_band], axis=1)
+        self.row_band = np.array([-beta, beta])[None, :, None] * mags[:, None, :]
+
+    def block(self, rows: np.ndarray, cols: np.ndarray, pairs=True) -> np.ndarray:
+        """D[rows, cols] where the boolean (len(rows), len(cols)) `pairs` is
+        true, false elsewhere; rows and cols are nonempty index arrays."""
+        points, offsets = _runs(self.starts[cols], self.sizes[cols])
+        t = self.thresholds.take(points, axis=0) + self.row_band[rows, None]  # (B, C, 2, k)
+        covered = np.zeros(t.shape[:3], dtype=bool)
+        if self.staircase:
+            lows = self.starts[rows]
+            for b, (i, lo, hi) in enumerate(zip(rows.tolist(), lows.tolist(),
+                                                (lows + self.sizes[rows]).tolist())):
+                below = self.first[lo:hi].searchsorted(t[b, ..., 0])  # points with first score < t
+                covered[b] = self.second[lo + i: hi + i + 1][below] < t[b, ..., 1]
+        else:
+            row_points, _ = _runs(self.starts[rows], self.sizes[rows])
+            which = np.repeat(np.arange(len(rows)), self.sizes[rows])  # each row point's block row
+            step = max(1, _BLOCK_PAIRS // len(points))
+            for lo in range(0, len(row_points), step):
+                r, s = which[lo: lo + step], self.scores.take(row_points[lo: lo + step], axis=0)
+                hit = s[:, None, None, 0] < t[r, ..., 0]  # (row points, C, 2)
+                for g in range(1, s.shape[1]):
+                    hit &= s[:, None, None, g] < t[r, ..., g]
+                heads = np.flatnonzero(np.diff(r, prepend=-1))
+                covered[r[heads]] |= np.logical_or.reduceat(hit, heads)
+        strict, loose = np.moveaxis(np.logical_and.reduceat(covered, offsets, axis=1), 2, 0) & pairs
+        for b, c in zip(*np.nonzero(strict != loose)):
+            strict[b, c] = setrel.covers(self.clouds[rows[b]], self.clouds[cols[c]], self.cone,
+                                         strict=True)
+        return strict
 
     def __call__(self, i: int, cols: np.ndarray) -> np.ndarray:
         """D[i, cols] for a nonempty array of column indices."""
-        sizes = self.sizes[cols]
-        offsets = np.cumsum(sizes) - sizes
-        # the columns' points, each column's run starting at its offset
-        points = np.arange(offsets[-1] + sizes[-1]) + np.repeat(self.starts[cols] - offsets, sizes)
-        t = self.thresholds[:, :, points] + self.row_band[i]  # (2, k, C)
-        lo, hi = self.starts[i], self.starts[i] + self.sizes[i]
-        if self.staircase:
-            below = np.searchsorted(self.first[lo:hi], t[:, 0])  # points with first score < t
-            covered = self.second[lo + i: hi + i + 1][below] < t[:, 1]
-        else:
-            covered = np.zeros((2, t.shape[2]), dtype=bool)
-            for s in self.scores[lo:hi]:
-                covered |= (s[:, None] < t).all(axis=1)
-        strict, loose = np.logical_and.reduceat(covered, offsets, axis=1)
-        for c in np.flatnonzero(strict != loose):
-            strict[c] = setrel.covers(self.clouds[i], self.clouds[cols[c]], self.cone, strict=True)
-        return strict
+        return self.block(np.array([i]), cols)[0]
 
 
 def _row_test(problem: SetValuedProblem) -> _RowTest:
@@ -200,9 +242,90 @@ def _staircase_points(scores: np.ndarray, owner: np.ndarray) -> np.ndarray:
     return order[key < before]
 
 
+def _skyline_points(scores: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Sorted indices of each cloud's minimal points in score space, any k.
+
+    A point is dropped if another point of its cloud is at or below it in
+    every score, or equals an earlier one.  Sort-filter: in the stable
+    order of (cloud, score sum, scores) every point that drops b comes
+    before b, since rounding keeps a sum taken in one fixed order monotone,
+    and every earlier point of b's cloud at or below it drops b.  So b is
+    compared with the earlier points of its cloud only: first with the
+    first point of its cloud, of least score sum, which removes most points
+    of a large cloud, then with the earlier points left, in chunks of about
+    _BLOCK_PAIRS pairs.
+    """
+    total = scores[:, 0].copy()
+    for column in scores.T[1:]:
+        total += column
+    order = np.lexsort((*scores.T[::-1], total, owner))
+    s, cloud = scores.take(order, axis=0), owner[order]
+    head = np.searchsorted(cloud, cloud)  # the first point of each one's cloud
+    alive = np.flatnonzero((s.take(head, axis=0) > s).any(axis=1) | (head == np.arange(len(order))))
+    s, cloud = s.take(alive, axis=0), cloud[alive]
+    group = np.searchsorted(cloud, cloud)  # the first point left of each one's cloud
+    earlier = np.arange(len(alive)) - group
+    pairs = np.cumsum(earlier)
+    dropped = np.zeros(len(alive), dtype=bool)
+    lo = 0
+    while lo < len(alive):
+        hi = max(lo + 1, int(np.searchsorted(pairs, pairs[lo] - earlier[lo] + _BLOCK_PAIRS,
+                                             side="right")))
+        a, _ = _runs(group[lo:hi], earlier[lo:hi])
+        b = np.repeat(np.arange(lo, hi), earlier[lo:hi])
+        at_or_below = (s.take(a, axis=0) <= s.take(b, axis=0)).all(axis=1)
+        dropped[b[at_or_below]] = True
+        lo = hi
+    return np.sort(order[alive[~dropped]])
+
+
 def _separation(problem: SetValuedProblem) -> float:
     """delta = cone_tol / max_w <w, q>: the least psi drop strict domination forces."""
     return problem.cone.cone_tol / problem.cone._unit_scores.max()
+
+
+def _sweep(test: _RowTest, rows: np.ndarray, top: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """Each column's first dominator in the order of `rows`, or -1 if it has none.
+
+    Rows go in blocks against the live columns; see the module docstring.
+    """
+    def column_points(live):  # of live[s:] at [s], for s up to len(live)
+        return np.append(np.cumsum(test.sizes[live][::-1])[::-1], 0)
+
+    n = len(rows)
+    live = np.argsort(top, kind="stable")  # live columns, ascending top
+    live_top = top[live]
+    # a block of rows[pos:end] against live[s:] compares
+    # (cost[end] - cost[pos]) * tail[s] pairs
+    tail = column_points(live)
+    cost = np.arange(n + 1) if test.staircase else np.append(0, np.cumsum(test.sizes[rows]))
+    row_reach = reach[rows]
+    first = np.full(n, -1)
+    pos = 0
+    while pos < n:
+        start = np.searchsorted(live_top, row_reach[pos])
+        if start == len(live):
+            pos += 1
+            continue
+        # the longest run of rows from pos whose block fits in _BLOCK_PAIRS,
+        # each row's window widening the block's columns to the lowest reach
+        span = slice(pos, pos + max(1, _BLOCK_PAIRS // int(tail[start])))
+        starts = np.searchsorted(live_top, np.minimum.accumulate(row_reach[span]))
+        scratch = (cost[pos + 1: span.stop + 1] - cost[pos]) * tail[starts]
+        size = max(1, int(np.searchsorted(scratch, _BLOCK_PAIRS, side="right")))
+        block, start = rows[pos: pos + size], starts[size - 1]
+        cols = live[start:]
+        pairs = (live_top[start:] >= row_reach[pos: pos + size, None]) & (cols != block[:, None])
+        hit = test.block(block, cols, pairs)
+        hits = hit.any(axis=0)
+        if hits.any():
+            first[cols[hits]] = block[hit.argmax(axis=0)[hits]]
+            keep = np.ones(len(live), dtype=bool)
+            keep[start:] = ~hits
+            live, live_top = live[keep], live_top[keep]
+            tail = column_points(live)
+        pos += size
+    return first
 
 
 def efficient_sets(problem: SetValuedProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -225,21 +348,7 @@ def efficient_sets(problem: SetValuedProblem) -> tuple[np.ndarray, np.ndarray]:
     reach = psi + _separation(problem) - beta * (mu + tau)
 
     rows = np.argsort(psi, kind="stable")
-    live = np.argsort(top, kind="stable")  # live columns, ascending top
-    live_top = top[live]
-    first = np.full(n, -1)  # each removed column's first dominator
-    for i in rows:
-        start = np.searchsorted(live_top, reach[i])
-        if start == len(live):
-            continue
-        cols = live[start:]
-        hit = test(i, cols)
-        hit[cols == i] = False
-        if hit.any():
-            first[cols[hit]] = i
-            keep = np.ones(len(live), dtype=bool)
-            keep[start:] = ~hit
-            live, live_top = live[keep], live_top[keep]
+    first = _sweep(test, rows, top, reach)
     weak = first < 0
     strict = np.flatnonzero(weak)
 

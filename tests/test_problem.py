@@ -430,3 +430,33 @@ def test_table_lookup_matches_an_argmin_scan(seed, monkeypatch):
     with pytest.raises(ProblemValidationError) as raised:
         first_failure(model.clouds_at, X)
     assert str(raised.value) == error
+
+
+def test_table_clouds_are_read_in_one_pass_or_named_one_by_one(monkeypatch):
+    read_one = []
+    real_cloud = problem_module._cloud
+    monkeypatch.setattr(problem_module, "_cloud",
+                        lambda *args: read_one.append(args[1]) or real_cloud(*args))
+    pts = [[0.0], [1.0], [2.0], [3.0]]
+    clouds = [[[0.5, 1]], [[2.0, -1.0], [3, 4.5]], [[0.0, 0.0]], [[-7.25, 1e300]]]
+    model = MapModel(kind="table", params={"points": pts, "clouds": clouds})
+    points, starts, _ = model.clouds_at(np.array(pts))
+    assert read_one == []
+    assert points.tobytes() == np.concatenate([np.asarray(c, dtype=float) for c in clouds]).tobytes()
+    np.testing.assert_array_equal(starts, [0, 1, 3, 4])
+
+    for bad in (True, [[1.0, False]], [["1.0", 2.0]], [[1.0, float("nan")]], [], [[]],
+                [[[1.0, 2.0]]], [[1.0], [1.0, 2.0]], [[10**400, 0.0]], {"points": []}):
+        path = "map.parameters.clouds[2]"
+        with pytest.raises(ProblemValidationError) as alone:
+            real_cloud(bad, path, None)
+        with pytest.raises(ProblemValidationError) as in_table:
+            MapModel(kind="table", params={"points": pts, "clouds": clouds[:2] + [bad] + clouds[3:]})
+        assert str(in_table.value) == str(alone.value) and path in str(alone.value)
+    monkeypatch.setattr(problem_module, "MAX_CLOUD_POINTS", 1)
+    with pytest.raises(ProblemValidationError, match=r"clouds\[1\] holds more than 1 points"):
+        MapModel(kind="table", params={"points": pts, "clouds": clouds})
+    monkeypatch.undo()
+    # entries of two widths are read one by one; a batch of one width evaluates
+    model = MapModel(kind="table", params={"points": pts, "clouds": clouds[:3] + [[[1.0]]]})
+    np.testing.assert_array_equal(model.clouds_at(np.array(pts[:3]))[0], points[:4])

@@ -257,7 +257,8 @@ def test_sweep_reads_any_relation_the_psi_bound_allows(monkeypatch):
     # back.
     rng = np.random.default_rng(7)
     relation = None
-    monkeypatch.setattr(solver._RowTest, "__call__", lambda self, i, cols: relation[i, cols])
+    monkeypatch.setattr(solver._RowTest, "block", lambda self, rows, cols, pairs=True:
+                        relation[np.ix_(rows, cols)] & pairs)
     split = 0
     for _ in range(300):
         n = int(rng.integers(1, 10))
@@ -308,3 +309,86 @@ def test_random_problems_inclusions():
         # finite clouds are order-closed and order-proper, which collapses
         # the weak and strict notions
         assert strict == weak
+
+
+def lattice_clouds(rng, cone, count):
+    """Clouds on a coarse lattice with exact duplicates, points dominated in
+    score space and points tied with another in one score."""
+    m, q = cone.dim_image, np.asarray(cone.order_unit)
+    clouds = []
+    for _ in range(count):
+        cloud = rng.integers(-2, 3, (int(rng.integers(1, 9)), m)).astype(float)
+        extra = [cloud[rng.integers(len(cloud))]]  # a duplicate
+        extra.append(cloud[rng.integers(len(cloud))] + rng.integers(1, 3) * q)  # dominated
+        tied = cloud[rng.integers(len(cloud))].copy()
+        tied[rng.integers(m)] += 1.0  # under an orthant, tied with its source in k - 1 scores
+        extra.append(tied)
+        clouds.append(rng.permutation(np.vstack([cloud, extra])))
+    return clouds
+
+
+def test_skyline_cut_keeps_each_clouds_first_minimal_points():
+    rng = np.random.default_rng(5)
+    for k in (3, 4, 5):
+        owner = np.repeat(np.arange(30), rng.integers(1, 40, 30))
+        scores = rng.integers(0, 4, (len(owner), k)).astype(float)
+        scores[rng.random(len(owner)) < 0.1] = -0.0  # equal to 0.0, kept first by index
+        want = [b for b in range(len(owner))
+                if not any(owner[a] == owner[b] and a != b and (scores[a] <= scores[b]).all()
+                           and ((scores[a] < scores[b]).any() or a < b)
+                           for a in range(len(owner)))]
+        np.testing.assert_array_equal(solver._skyline_points(scores, owner), want)
+
+
+def test_k3_and_k4_domination_matrix_matches_pairwise_covers():
+    pyramid = ConeSpec(np.array([[1.0, 0.0, 1.0], [-1.0, 0.0, 1.0],
+                                 [0.0, 1.0, 1.0], [0.0, -1.0, 1.0]]), [0.0, 0.0, 1.0])
+    for cone in (ConeSpec.orthant(3), ConeSpec.orthant(4), pyramid):
+        for seed in range(20):
+            prob = table_problem(lattice_clouds(np.random.default_rng(seed), cone, 12), cone)
+            clouds = [c.points for c in prob.clouds]
+            want = np.array([[setrel.covers(a, b, cone, strict=True) for b in clouds]
+                             for a in clouds])
+            np.testing.assert_array_equal(domination_matrix(prob), want)
+            assert_sweep_matches_matrix(prob)
+
+
+def test_sweep_block_size_changes_nothing(monkeypatch):
+    firsts = []
+    real = solver._sweep
+    monkeypatch.setattr(solver, "_sweep", lambda *args: firsts.append(real(*args)) or firsts[-1])
+    rng = np.random.default_rng(23)
+    problems = [make(rng) for make in (random_problem, interval_problem, near_copy_problem)
+                for _ in range(25)]
+    problems += [table_problem(lattice_clouds(rng, cone, 40), cone)
+                 for cone in (ConeSpec.orthant(3), ConeSpec.orthant(4))]
+    for prob in problems:
+        got = []
+        # the default, one row per block, and every row in one block
+        for budget in (solver._BLOCK_PAIRS, 1, 2**40):
+            monkeypatch.setattr(solver, "_BLOCK_PAIRS", budget)
+            prob._cache.pop("efficient_sets", None)
+            got.append((*efficient_sets(prob), firsts[-1]))
+        for strict, weak, first in got[1:]:
+            np.testing.assert_array_equal(strict, got[0][0])
+            np.testing.assert_array_equal(weak, got[0][1])
+            np.testing.assert_array_equal(first, got[0][2])
+        assert_sweep_matches_matrix(prob)
+
+
+def test_orthant3_rung_memory_is_bounded():
+    # 31 clouds of 1000 random points under three generators: every cloud
+    # is cut to its skyline before the sweep compares points
+    rng = np.random.default_rng(0)
+    prob = table_problem([rng.uniform(-5.0, 5.0, (1000, 3)) for _ in range(31)],
+                         ConeSpec.orthant(3))
+    scalar_field(prob)
+    tracemalloc.start()
+    try:
+        strict, weak = efficient_sets(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    np.testing.assert_array_equal(strict, np.arange(31))
+    np.testing.assert_array_equal(weak, np.arange(31))

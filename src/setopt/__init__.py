@@ -25,8 +25,7 @@ from .scalarizer import (ScalarField, colevel, colevel_at_set, colevel_points,
                          global_inf, scalar_field, scalar_value, scalar_value_at,
                          scalar_values_at)
 from .setrel import PointCloudSet, equivalent_l, lower_less, strictly_lower_less
-from .solver import (SolveReport, argmin_scalarized, solve, strict_weak_efficient_brute,
-                     weak_efficient_brute)
+from .solver import SolveReport, argmin_scalarized, efficient_sets, solve
 
 __version__ = "0.1.0"
 
@@ -39,11 +38,9 @@ __all__ = [
     "check_asymptotic_gap", "check_attainment", "check_coercivity",
     "check_colevel_compact_at", "check_regular_global_inf", "check_transfer_closed",
     "colevel", "colevel_at_set", "colevel_points", "compass_directions", "contains",
-    "contains_interior", "default_lambda_schedule", "equivalent_l", "evaluate",
-    "evaluate_at", "existence_report", "far_colevel_sample", "gerstewitz",
+    "contains_interior", "default_lambda_schedule", "efficient_sets", "equivalent_l",
+    "evaluate", "evaluate_at", "existence_report", "far_colevel_sample", "gerstewitz",
     "gerstewitz_bisect", "gerstewitz_many", "global_inf", "horizon_outer_limit",
     "lower_less", "scalar_field", "scalar_value", "scalar_value_at", "scalar_values_at",
-    "solve",
-    "strict_weak_efficient_brute", "strictly_lower_less", "to_document",
-    "weak_efficient_brute",
+    "solve", "strictly_lower_less", "to_document",
 ]

@@ -26,8 +26,11 @@ DEFAULT_RADIUS_THRESHOLD = 100.0
 DEFAULT_LAMBDA_COUNT = 12
 ANGULAR_CLUSTER_TOL = 1e-3
 FAR_T_COUNT = 25  # radii per compass ray in far colevel samples
-# A value counts as above the infimum only beyond MARGIN_FACTOR * tie_tol.
-MARGIN_FACTOR = 10.0
+
+
+def _margin(problem: SetValuedProblem) -> float:
+    """How far above the infimum a value must lie to count as above it: 10 tie_tol."""
+    return 10.0 * problem.tolerances.tie_tol
 
 
 def default_t_values(t_max: float = DEFAULT_T_MAX, count: int = DEFAULT_T_COUNT) -> np.ndarray:
@@ -205,7 +208,7 @@ def _gap_report(problem: SetValuedProblem, directions, t_max: float,
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     if len(directions) == 0:
         raise ProblemValidationError("directions must be nonempty")
-    margin = MARGIN_FACTOR * problem.tolerances.tie_tol
+    margin = _margin(problem)
     m = global_inf(problem)
     ts = default_t_values(t_max, t_count)
     estimates = []

@@ -31,7 +31,7 @@ from .errors import InternalConsistencyError, SetOptError
 from .problem import build_problem
 from .sampling import random_cone, random_point, random_problem
 from .scalarizer import colevel_points, scalar_field
-from .solver import argmin_scalarized, scalar_table, solve, strict_weak_efficient_brute
+from .solver import argmin_scalarized, efficient_sets, scalar_table, solve
 
 
 class CLIUsageError(SetOptError, ValueError):
@@ -171,7 +171,7 @@ def _cmd_oracle(args) -> int:
     violations = 0
     for _ in range(problems):
         prob = random_problem(rng)
-        strict = set(strict_weak_efficient_brute(prob).tolist())
+        strict = set(efficient_sets(prob)[0].tolist())
         if not set(argmin_scalarized(prob).tolist()) <= strict:
             violations += 1
     out = {

@@ -33,7 +33,8 @@ class ConeSpec:
     Attributes:
         dual_generators: (k, m) array; rows are the nonzero vectors w_j.
         order_unit: (m,) interior point q used as scalarization direction.
-        cone_tol: absolute tolerance for the membership predicates.
+        cone_tol: absolute tolerance for the membership predicates, finite
+            and positive; a problem document gives it as tolerances.cone_tol.
     """
 
     dual_generators: np.ndarray
@@ -57,8 +58,9 @@ class ConeSpec:
             raise ProblemValidationError("cone data must be finite")
         if not w.any(axis=1).all():
             raise ProblemValidationError("dual generators must be nonzero")
-        if self.cone_tol <= 0.0:
-            raise ProblemValidationError("cone_tol must be positive")
+        if not 0.0 < self.cone_tol < np.inf:
+            raise ProblemValidationError(
+                f"cone_tol must be finite and positive, got {self.cone_tol!r}")
         with np.errstate(over="ignore"):
             unit_scores = w @ q
         if np.any(unit_scores <= self.cone_tol):

@@ -29,11 +29,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotics import MARGIN_FACTOR, GapReport, check_asymptotic_gap, compass_directions
+from .asymptotics import (GapReport, _margin, check_asymptotic_gap, compass_directions,
+                          default_lambda_schedule)
 from .errors import InternalConsistencyError, ProblemValidationError
 from .problem import SetValuedProblem
 from .scalarizer import colevel, scalar_field, scalar_values_at
-from .solver import domination_row, strict_weak_efficient_brute
+from .solver import domination_row, efficient_sets
 
 _REFINE_LEVELS = (0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625)
 _COERCIVITY_LADDER = 16  # halvings of lam_probe - inf probed for a bounded colevel set
@@ -50,10 +51,6 @@ class Verdict:
     @property
     def holds(self) -> bool:
         return self.status == "holds"
-
-
-def _margin(problem: SetValuedProblem) -> float:
-    return MARGIN_FACTOR * problem.tolerances.tie_tol
 
 
 def check_attainment(problem: SetValuedProblem) -> Verdict:
@@ -227,7 +224,7 @@ def check_transfer_closed(problem: SetValuedProblem, lam_samples=None) -> Verdic
     if span <= margin:
         return Verdict(status="holds", evidence={"reason": "scalar field is flat"})
     if lam_samples is None:
-        lam_samples = m + (span / 2.0) * np.power(0.5, np.arange(20))
+        lam_samples = default_lambda_schedule(problem, 20)
     lam_samples = np.asarray(lam_samples, dtype=float)
     if lam_samples.size == 0:
         raise ProblemValidationError("lambda samples must be nonempty")
@@ -333,7 +330,7 @@ def check_colevel_compact_at(problem: SetValuedProblem, x0) -> Verdict:
     # row idx0 of D is F(x0) <l F(x); the colevel set is where it is false
     members = np.flatnonzero(~domination_row(problem, idx0))
     bounded = _strictly_inside(problem, members)
-    strict = strict_weak_efficient_brute(problem)
+    strict = efficient_sets(problem)[0]
     in_strict = idx0 in strict
     coercive = check_coercivity(problem).holds
     # <l is irreflexive, so x0 is a member; it is transitive, so a <l-minimal
@@ -420,7 +417,7 @@ def existence_report(problem: SetValuedProblem) -> HypothesisReport:
     noncoercive = TheoremVerdict(applicable=not noncoercive_blockers,
                                  blocked_by=noncoercive_blockers)
 
-    strict = strict_weak_efficient_brute(problem)
+    strict = efficient_sets(problem)[0]
     nonempty = len(strict) > 0
     if (coercive.applicable or noncoercive.applicable) and not nonempty:
         raise InternalConsistencyError(

@@ -19,8 +19,11 @@ Each kind has one reader.  It runs once, when the `MapModel` is built:
 it validates and converts every parameter, rejecting unknown keys with
 their document path, and returns one evaluator over a batch of domain
 points, which gives their clouds in the store's layout (`clouds_at`);
-`cloud_at` is its one-point view.  The raw parameters are kept only for
-writing the document back.
+`cloud_at` is its one-point view.  The map owns the facts that hold for
+all its clouds: the dimension m of the R^m they lie in (`dim_image`),
+read once, so a cloud of another width is rejected with its document
+path, and the sampling notes (`sampling_notes`).  The raw parameters are
+kept only for writing the document back.
 
 Building a problem evaluates the map at all grid points in one call, into
 the store that every grid-side layer reads instead of evaluating again.
@@ -39,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cone import ConeSpec
+from .cone import DEFAULT_CONE_TOL, ConeSpec
 from .errors import DimensionMismatchError, ProblemValidationError, SetOptError
 from .setrel import PointCloudSet
 
@@ -66,19 +69,22 @@ MAX_COORDINATE = 1e150
 SCHEMA_VERSION = "1"
 
 
+def _tolerance(name: str, value: float) -> float:
+    """value, if it is finite and positive; else an error naming tolerances.<name>."""
+    if not 0.0 < value < np.inf:
+        raise ProblemValidationError(
+            f"tolerances.{name} must be finite and positive, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Tolerances:
-    cone_tol: float = 1e-12
+    """The problem's tie band; the cone's membership slack is `ConeSpec.cone_tol`."""
+
     tie_tol: float = 1e-9
 
     def __post_init__(self):
-        for name, value in self.to_dict().items():
-            if not 0.0 < value < np.inf:
-                raise ProblemValidationError(
-                    f"tolerances.{name} must be finite and positive, got {value!r}")
-
-    def to_dict(self) -> dict:
-        return {"cone_tol": self.cone_tol, "tie_tol": self.tie_tol}
+        _tolerance("tie_tol", self.tie_tol)
 
 
 @dataclass(frozen=True)
@@ -255,24 +261,32 @@ def _flag(spec: dict, key: str, path: str, default: bool = False) -> bool:
     return value
 
 
-def _note(spec: dict, notes: list):
-    """spec's sampling_note; a nonempty one is also appended to notes."""
-    note = spec.get("sampling_note")
-    if note:
-        notes.append(note)
-    return note
+def _note(spec: dict, notes: list) -> None:
+    """Append spec's sampling_note to notes, if it has a nonempty one."""
+    if spec.get("sampling_note"):
+        notes.append(spec["sampling_note"])
 
 
-def _cloud(value, path: str, note) -> PointCloudSet:
+def _cloud(value, path: str) -> np.ndarray:
+    """value as the (p, m) points of a cloud, or an error naming its document path."""
     points = _numeric(value, path)
     if points.ndim > 2:
         raise ProblemValidationError(f"{path} must be a list of points")
     if points.ndim == 2 and len(points) > MAX_CLOUD_POINTS:
         raise ProblemValidationError(f"{path} holds more than {MAX_CLOUD_POINTS:,} points")
     try:
-        return PointCloudSet(points, sampling_note=note)
+        return PointCloudSet(points).points
     except ProblemValidationError as exc:  # an empty or non-finite cloud
         raise ProblemValidationError(f"{path}: {exc}") from None
+
+
+def _one_width(widths: list, paths: list) -> int:
+    """The width every cloud of a map shares; else an error naming the first other one."""
+    for width, path in zip(widths, paths):
+        if width != widths[0]:
+            raise ProblemValidationError(
+                f"{path} has points of dimension {width}, but {paths[0]} has {widths[0]}")
+    return widths[0]
 
 
 def _stacked_clouds(clouds: list):
@@ -417,15 +431,14 @@ def _read_where(where, path: str):
 
 
 def _read_cloud_spec(spec, path: str, notes: list):
-    """(X -> the clouds a region assigns to the rows of X, stacked; their size, width, note)."""
+    """(X -> the clouds a region assigns to the rows of X, stacked; their size, width)."""
     kind = _typed(spec, path, {"fixed": ("points", "sampling_note"),
                                "affine_point": ("matrix", "offset", "sampling_note")},
                   default="fixed")
-    note = _note(spec, notes)
+    _note(spec, notes)
     if kind == "fixed":
-        cloud = _cloud(_require(spec, "points", path), f"{path}.points", note)
-        return (lambda X: np.tile(cloud.points, (len(X), 1)), len(cloud), cloud.dim,
-                cloud.sampling_note)
+        cloud = _cloud(_require(spec, "points", path), f"{path}.points")
+        return lambda X: np.tile(cloud, (len(X), 1)), *cloud.shape
     matrix = _numeric(_require(spec, "matrix", path), f"{path}.matrix")
     offset = _numeric(_require(spec, "offset", path), f"{path}.offset")
     if matrix.ndim != 2 or matrix.size == 0 or offset.shape != matrix.shape[:1]:
@@ -437,7 +450,7 @@ def _read_cloud_spec(spec, path: str, notes: list):
         # one matrix-vector product per row, as for a single point; a flat
         # product over the batch would round some rows differently
         return (matrix @ X[:, :, None])[:, :, 0] + offset
-    return affine_point, 1, len(offset), None
+    return affine_point, 1, len(offset)
 
 
 # Candidate (row, table point) pairs a table lookup compares at once.
@@ -474,7 +487,7 @@ def _nearest(points: np.ndarray, order: np.ndarray, keys: np.ndarray, X: np.ndar
 
 def _read_table(params, notes: list):
     _section(params, _PARAMS, "points", "clouds", "sampling_note")
-    note = _note(params, notes)
+    _note(params, notes)
     pts = np.atleast_2d(_numeric(_require(params, "points", _PARAMS), f"{_PARAMS}.points"))
     clouds = _require(params, "clouds", _PARAMS)
     if pts.ndim != 2 or pts.size == 0 or not isinstance(clouds, list) or len(clouds) != len(pts):
@@ -483,12 +496,13 @@ def _read_table(params, notes: list):
         raise ProblemValidationError(f"{_PARAMS}.points must not hold NaN")
     stacked = _stacked_clouds(clouds)
     if stacked is None:  # some entry fails a check, or the widths differ
-        clouds = [_cloud(cloud, f"{_PARAMS}.clouds[{i}]", note) for i, cloud in enumerate(clouds)]
-        if len({c.dim for c in clouds}) == 1:
-            stacked = np.concatenate([c.points for c in clouds])
+        paths = [f"{_PARAMS}.clouds[{i}]" for i in range(len(clouds))]
+        clouds = [_cloud(cloud, path) for cloud, path in zip(clouds, paths)]
+        _one_width([cloud.shape[1] for cloud in clouds], paths)
+        stacked = np.concatenate(clouds)
     order = np.argsort(pts[:, 0], kind="stable")
     keys = pts[order, 0]
-    sizes = np.array([len(c) for c in clouds])
+    sizes = np.array([len(cloud) for cloud in clouds])
     offsets = np.cumsum(sizes) - sizes
     def table(X: np.ndarray):
         if X.shape[1:] != pts.shape[1:]:
@@ -500,24 +514,19 @@ def _read_table(params, notes: list):
                 f"table map has no entry for x={X[np.argmax(index < 0)].tolist()}")
         chosen = sizes[index]
         starts = _starts(chosen, "domain.resolution")
-        if stacked is not None:
-            rows = np.repeat(offsets[index] - starts, chosen) + np.arange(int(chosen.sum()))
-            points = stacked.take(rows, axis=0)
-        elif len({clouds[i].dim for i in index.tolist()}) == 1:
-            points = np.concatenate([clouds[i].points for i in index])
-        else:
-            raise DimensionMismatchError("table clouds of different dimensions in one batch")
-        return points, starts, [note] * len(X)
-    return table, int(sizes.max())
+        rows = np.repeat(offsets[index] - starts, chosen) + np.arange(int(chosen.sum()))
+        return stacked.take(rows, axis=0), starts
+    return table, int(sizes.max()), stacked.shape[1]
 
 
 def _read_constant(params, notes: list):
     _section(params, _PARAMS, "cloud", "sampling_note")
-    cloud = _cloud(_require(params, "cloud", _PARAMS), f"{_PARAMS}.cloud", _note(params, notes))
+    _note(params, notes)
+    cloud = _cloud(_require(params, "cloud", _PARAMS), f"{_PARAMS}.cloud")
     def constant(X: np.ndarray):
         starts = _starts(np.full(len(X), len(cloud)), "domain.resolution")
-        return np.tile(cloud.points, (len(X), 1)), starts, [cloud.sampling_note] * len(X)
-    return constant, len(cloud)
+        return np.tile(cloud, (len(X), 1)), starts
+    return constant, *cloud.shape
 
 
 def _read_interval(params, notes: list):
@@ -536,8 +545,8 @@ def _read_interval(params, notes: list):
             raise ProblemValidationError(f"interval violation: lower {float(lo[i])} > upper "
                                          f"{float(hi[i])} at x={float(t[i])}")
         starts = _starts(np.full(len(X), 2), "domain.resolution")
-        return np.stack([lo, hi], axis=1).reshape(-1, 1), starts, [None] * len(X)
-    return interval, 2
+        return np.stack([lo, hi], axis=1).reshape(-1, 1), starts
+    return interval, 2, 1
 
 
 def _read_ball(params, notes: list):
@@ -581,21 +590,21 @@ def _read_ball(params, notes: list):
                                              "ball maps produce 2D image clouds")
             centres[todo] = np.abs(X[todo]) if family == "abs_components" else X[todo]
         starts = _starts(np.full(len(X), len(ring)), f"domain.resolution or {_PARAMS}.samples")
-        return (centres[:, None, :] + ring).reshape(-1, 2), starts, [None] * len(X)
-    return ball, len(ring)
+        return (centres[:, None, :] + ring).reshape(-1, 2), starts
+    return ball, len(ring), 2
 
 
 def _read_piecewise(params, notes: list):
     _section(params, _PARAMS, "regions", "sampling_note")
     _note(params, notes)
+    regions = _entries(params.get("regions"), f"{_PARAMS}.regions", "where", "cloud")
     read = [(_read_where(region.get("where", {}), f"{path}.where"),
              *_read_cloud_spec(_require(region, "cloud", path), f"{path}.cloud", notes))
-            for region, path in _entries(params.get("regions"), f"{_PARAMS}.regions",
-                                         "where", "cloud")]
+            for region, path in regions]
     if not read:
         raise ProblemValidationError(f"piecewise map needs a nonempty {_PARAMS}.regions list")
-    sizes = np.array([size for _, _, size, _, _ in read])
-    widths = np.array([width for _, _, _, width, _ in read])
+    sizes = np.array([size for _, _, size, _ in read])
+    width = _one_width([width for *_, width in read], [f"{path}.cloud" for _, path in regions])
     def piecewise(X: np.ndarray):
         region = np.full(len(X), -1)
         for k, (where, *_) in enumerate(read):  # the first listed region that holds wins
@@ -604,25 +613,24 @@ def _read_piecewise(params, notes: list):
                 region[todo[where(X[todo])]] = k
         if (region < 0).any():
             raise ProblemValidationError(f"no region covers x={X[np.argmax(region < 0)].tolist()}")
-        if (widths[region] != widths[region[0]]).any():
-            raise DimensionMismatchError("region clouds of different dimensions in one batch")
         starts = _starts(sizes[region], "domain.resolution")
-        points = np.empty((int(sizes[region].sum()), widths[region[0]]))
-        for k, (_, cloud, size, _, _) in enumerate(read):
+        points = np.empty((int(sizes[region].sum()), width))
+        for k, (_, cloud, size, _) in enumerate(read):
             rows = np.flatnonzero(region == k)
             if len(rows):
                 points[(starts[rows, None] + np.arange(size)).reshape(-1)] = cloud(X[rows])
-        return points, starts, [read[k][4] for k in region.tolist()]
-    return piecewise, int(sizes.max())
+        return points, starts
+    return piecewise, int(sizes.max()), width
 
 
 # kind -> reader(params, notes): checks and converts params once, appends the
-# sampling notes it reads to notes, and returns the evaluator and the most
-# points one domain point's cloud can hold.  The evaluator takes an (n, d)
-# batch X and returns the clouds at its rows in the store's layout: their
-# points stacked, the cloud of row i from starts[i] on, and each cloud's
-# sampling note.  It works row by row, so a row's cloud, or its failure,
-# never depends on the rest of the batch.
+# sampling notes it reads to notes, and returns the evaluator, the most points
+# one domain point's cloud can hold, and the dimension m of the R^m every
+# cloud lies in; a cloud of another width is rejected here, naming its
+# document path.  The evaluator takes an (n, d) batch X and returns the
+# clouds at its rows in the store's layout: their points stacked, (R, m),
+# and the cloud of row i from starts[i] on.  It works row by row, so a
+# row's cloud, or its failure, never depends on the rest of the batch.
 _READERS = {"table": _read_table, "constant": _read_constant, "interval": _read_interval,
             "ball": _read_ball, "piecewise": _read_piecewise}
 
@@ -657,8 +665,9 @@ class MapModel:
     """One of the supported set-valued map kinds plus its parameters.
 
     Construction reads `params` once, through the reader of `kind`, into
-    the batch evaluator that `clouds_at` calls and the sampling notes;
-    `params` itself is kept only for writing the document back (`to_dict`).
+    the batch evaluator that `clouds_at` calls, the image dimension and the
+    sampling notes; `params` itself is kept only for writing the document
+    back (`to_dict`).
     """
 
     kind: str
@@ -666,6 +675,8 @@ class MapModel:
     _evaluate: Callable[[np.ndarray], tuple] = field(init=False, repr=False, compare=False)
     # the most points the cloud of one domain point can hold
     largest_cloud: int = field(init=False, repr=False, compare=False)
+    # the m of the R^m every cloud lies in
+    dim_image: int = field(init=False, repr=False, compare=False)
     _notes: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -674,9 +685,10 @@ class MapModel:
             raise ProblemValidationError(f"unknown map kind {reprlib.repr(self.kind)} at "
                                          f"map.kind; expected {', '.join(_READERS)}")
         notes = []
-        evaluate, largest = reader(self.params, notes)
+        evaluate, largest, dim = reader(self.params, notes)
         object.__setattr__(self, "_evaluate", evaluate)
         object.__setattr__(self, "largest_cloud", largest)
+        object.__setattr__(self, "dim_image", dim)
         object.__setattr__(self, "_notes", tuple(notes))
 
     @property
@@ -684,26 +696,26 @@ class MapModel:
         """Whether the model can be evaluated at arbitrary domain points."""
         return self.kind != "table"
 
-    def clouds_at(self, X) -> tuple[np.ndarray, np.ndarray, list]:
+    def clouds_at(self, X) -> tuple[np.ndarray, np.ndarray]:
         """The clouds at the rows of the (n, d) array X, in the store's layout.
 
-        Returns their points stacked, the cloud of row i from row starts[i]
-        on, and each cloud's sampling note.  Each row's cloud is bit for bit
-        the one `cloud_at` gives for that row alone.  If some row fails,
-        this raises; `first_failure` finds the error of the first one.
+        Returns their points stacked, (R, dim_image), and the cloud of row i
+        from row starts[i] on.  Each row's cloud is bit for bit the one
+        `cloud_at` gives for that row alone.  If some row fails, this
+        raises; `first_failure` finds the error of the first one.
         """
         with np.errstate(all="ignore"):  # an overflow ends in a non-finite cloud, rejected below
-            points, starts, notes = self._evaluate(np.asarray(X, dtype=float))
+            points, starts = self._evaluate(np.asarray(X, dtype=float))
         if not np.isfinite(points).all():
             raise ProblemValidationError("point cloud must be finite")
-        return points, starts, notes
+        return points, starts
 
     def cloud_at(self, x) -> PointCloudSet:
-        points, _, notes = self.clouds_at(np.asarray(x, dtype=float).reshape(1, -1))
-        return PointCloudSet(points, sampling_note=notes[0])
+        return PointCloudSet(self.clouds_at(np.asarray(x, dtype=float).reshape(1, -1))[0])
 
     def sampling_notes(self) -> list[str]:
-        """All sampling notes declared anywhere in the parameters."""
+        """All sampling notes declared anywhere in the parameters, the map's only record
+        of them."""
         return list(self._notes)
 
     def to_dict(self) -> dict:
@@ -716,8 +728,8 @@ class SetValuedProblem:
     """A full instance: grid, map model, cone, tolerances, asserted flags.
 
     The store: the clouds' rows stacked in grid order in `cloud_points`,
-    cloud i from row `cloud_starts[i]`, and the same clouds as views in
-    `clouds`; the generator scores <w_j, p> of those rows in
+    cloud i from row `cloud_starts[i]`, and on demand the same clouds as
+    views in `clouds`; the generator scores <w_j, p> of those rows in
     `cloud_scores`, per cloud the maximum of |w_j| . |p| in
     `cloud_magnitudes`, and per cloud the maximum over j of that over
     <w_j, q>, which bounds |psi| over the cloud, in `cloud_psi_bounds`.
@@ -737,21 +749,16 @@ class SetValuedProblem:
     cloud_scores: np.ndarray = field(init=False, repr=False, compare=False)
     cloud_magnitudes: np.ndarray = field(init=False, repr=False, compare=False)
     cloud_psi_bounds: np.ndarray = field(init=False, repr=False, compare=False)
-    _cloud_notes: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # every grid point must produce a valid cloud of the cone's image dimension
-        dim = self.cone.dim_image
-
-        def clouds_at(X):
-            points, starts, notes = self.map_model.clouds_at(X)
-            if points.shape[1] != dim:
-                raise ProblemValidationError(
-                    f"map image dimension {points.shape[1]} does not match cone dimension {dim}")
-            return points, starts, notes
-
-        self.cloud_points, self.cloud_starts, self._cloud_notes = first_failure(
-            clouds_at, self.grid.points)
+        # every grid point must produce a valid cloud, in the cone's image space;
+        # the space is compared after the build, so a failing row is named first
+        self.cloud_points, self.cloud_starts = first_failure(self.map_model.clouds_at,
+                                                             self.grid.points)
+        dim, cone_dim = self.map_model.dim_image, self.cone.dim_image
+        if dim != cone_dim:
+            raise ProblemValidationError(
+                f"map image dimension {dim} does not match cone dimension {cone_dim}")
         w = self.cone.dual_generators
         # twice every |p|, every |w| . |p| and every |w| . |p| / <w, q> must
         # stay finite, so that point differences, scores, score differences
@@ -775,8 +782,7 @@ class SetValuedProblem:
     @functools.cached_property
     def clouds(self) -> list[PointCloudSet]:
         """The stored clouds in grid order, as views of `cloud_points`."""
-        return [PointCloudSet(points, sampling_note=note) for points, note in
-                zip(np.split(self.cloud_points, self.cloud_starts[1:]), self._cloud_notes)]
+        return [PointCloudSet(p) for p in np.split(self.cloud_points, self.cloud_starts[1:])]
 
 
 def evaluate(problem: SetValuedProblem, x) -> PointCloudSet:
@@ -800,17 +806,17 @@ def build_problem(doc: dict) -> SetValuedProblem:
 
     # a scal_tol key, which no computation ever read, is accepted and ignored
     tol_doc = _section(doc.get("tolerances", {}), "tolerances", "cone_tol", "tie_tol", "scal_tol")
+    cone_tol = _tolerance("cone_tol", _numeric(tol_doc.get("cone_tol", DEFAULT_CONE_TOL),
+                                               "tolerances.cone_tol", scalar=True))
     tolerances = Tolerances(
-        cone_tol=_numeric(tol_doc.get("cone_tol", 1e-12), "tolerances.cone_tol", scalar=True),
-        tie_tol=_numeric(tol_doc.get("tie_tol", 1e-9), "tolerances.tie_tol", scalar=True),
-    )
+        tie_tol=_numeric(tol_doc.get("tie_tol", 1e-9), "tolerances.tie_tol", scalar=True))
 
     if "cone" not in doc:
         raise ProblemValidationError("problem document needs a cone section")
     cone_doc = _section(doc["cone"], "cone", "dual_generators", "q")
     generators = _require(cone_doc, "dual_generators", "cone")
     cone = ConeSpec(_numeric(generators, "cone.dual_generators"),
-                    _numeric(_require(cone_doc, "q", "cone"), "cone.q"), tolerances.cone_tol)
+                    _numeric(_require(cone_doc, "q", "cone"), "cone.q"), cone_tol)
 
     domain = _mapping(doc.get("domain", {}), "domain")
     has_points = "points" in domain
@@ -851,6 +857,6 @@ def to_document(problem: SetValuedProblem) -> dict:
         "cone": problem.cone.to_dict(),
         "domain": domain,
         "map": problem.map_model.to_dict(),
-        "tolerances": problem.tolerances.to_dict(),
+        "tolerances": {"cone_tol": problem.cone.cone_tol, "tie_tol": problem.tolerances.tie_tol},
         "flags": problem.flags.to_dict(),
     }

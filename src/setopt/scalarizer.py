@@ -102,7 +102,7 @@ def _cloud_minima(problem: SetValuedProblem, X: np.ndarray) -> np.ndarray:
     cloud: a flat product over all rows would take another BLAS kernel
     for one-point clouds and round them differently.
     """
-    points, starts, _ = problem.map_model.clouds_at(X)
+    points, starts = problem.map_model.clouds_at(X)
     sizes = np.diff(starts, append=len(points))
     values = np.empty(len(X))
     for size in np.unique(sizes):

@@ -7,9 +7,13 @@ The lower set-less relation and its strict variant:
 
 decided for finite clouds by testing every pair (a, b): b - a lies in P
 (int P) when <w, b - a> >= -cone_tol (> cone_tol) for every dual
-generator w.  `covers` is that test.  It is the oracle that
+generator w.  `covers` is that test, on plain point arrays such as slices
+of a problem's cloud store.  It is the oracle that
 `solver.domination_matrix` reproduces bit for bit, and the tie-breaker it
 calls on the pairs its rounding band cannot decide.
+
+A `PointCloudSet` is one cloud and nothing more: what it samples is
+recorded once, on its map (`MapModel.sampling_notes`).
 """
 
 from __future__ import annotations
@@ -24,14 +28,9 @@ from .errors import DimensionMismatchError, ProblemValidationError
 
 @dataclass(frozen=True)
 class PointCloudSet:
-    """A finite, nonempty set of image-space points.
-
-    sampling_note optionally records which analytic set this cloud samples
-    and at what density, for honest reporting downstream.
-    """
+    """A finite, nonempty set of image-space points."""
 
     points: np.ndarray
-    sampling_note: str | None = None
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))

@@ -127,11 +127,11 @@ class _RowTest:
     def __init__(self, problem: SetValuedProblem):
         cone = self.cone = problem.cone
         tol = cone.cone_tol
-        starts = problem.cloud_starts
-        ends = np.append(starts[1:], len(problem.cloud_points))
-        self.clouds = [problem.cloud_points[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
-        n = len(self.clouds)
-        owner = np.repeat(np.arange(n), ends - starts)
+        # cloud i is cloud_points[bounds[i]: bounds[i + 1]], sliced only for `covers`
+        self.cloud_points = problem.cloud_points
+        self.bounds = np.append(problem.cloud_starts, len(problem.cloud_points))
+        n = len(problem.grid)
+        owner = np.repeat(np.arange(n), np.diff(self.bounds))
         scores, mags = problem.cloud_scores, problem.cloud_magnitudes  # (R, k), (N, k)
         self.staircase = scores.shape[1] <= 2
         if scores.shape[1] == 1:
@@ -185,9 +185,13 @@ class _RowTest:
                 covered[r[heads]] |= np.logical_or.reduceat(hit, heads)
         strict, loose = np.moveaxis(np.logical_and.reduceat(covered, offsets, axis=1), 2, 0) & pairs
         for b, c in zip(*np.nonzero(strict != loose)):
-            strict[b, c] = setrel.covers(self.clouds[rows[b]], self.clouds[cols[c]], self.cone,
-                                         strict=True)
+            strict[b, c] = self.covers(rows[b], cols[c])
         return strict
+
+    def covers(self, i: int, j: int) -> bool:
+        """D[i, j] by the pairwise oracle `setrel.covers`, on two slices of the store."""
+        a, b = (self.cloud_points[self.bounds[k]: self.bounds[k + 1]] for k in (i, j))
+        return setrel.covers(a, b, self.cone, strict=True)
 
     def __call__(self, i: int, cols: np.ndarray) -> np.ndarray:
         """D[i, cols] for a nonempty array of column indices."""
@@ -204,7 +208,7 @@ def _row_test(problem: SetValuedProblem) -> _RowTest:
 
 def domination_row(problem: SetValuedProblem, i: int) -> np.ndarray:
     """Row i of D, F(x_i) <l F(x_j) for every j, without building D."""
-    return _row_test(problem)(i, np.arange(len(problem.clouds)))
+    return _row_test(problem)(i, np.arange(len(problem.grid)))
 
 
 def domination_matrix(problem: SetValuedProblem) -> np.ndarray:
@@ -218,7 +222,7 @@ def domination_matrix(problem: SetValuedProblem) -> np.ndarray:
     if cached is not None:
         return cached
     test = _row_test(problem)
-    n = len(problem.clouds)
+    n = len(problem.grid)
     d = np.empty((n, n), dtype=bool)
     for i in range(n):
         d[i] = test(i, np.arange(n))
@@ -360,11 +364,7 @@ def efficient_sets(problem: SetValuedProblem) -> tuple[np.ndarray, np.ndarray]:
     position[rows] = np.arange(n)
     ordered_psi = psi[rows]
     reach_bound = top + 2 * beta * (mu.max() + tau)
-    clouds = test.clouds
-
-    def covers(i, j):
-        return setrel.covers(clouds[i], clouds[j], cone, strict=True)
-
+    covers = test.covers
     removed = np.flatnonzero(~weak)
     for j in removed[top[first[removed]] >= reach[removed]]:
         f = first[j]
@@ -388,16 +388,6 @@ def argmin_scalarized(problem: SetValuedProblem) -> np.ndarray:
     field = scalar_field(problem)
     band = min(problem.tolerances.tie_tol, _separation(problem) / 2)
     return np.flatnonzero(field.values <= field.inf_value + band)
-
-
-def strict_weak_efficient_brute(problem: SetValuedProblem) -> np.ndarray:
-    """Grid points no other point strictly dominates."""
-    return efficient_sets(problem)[0]
-
-
-def weak_efficient_brute(problem: SetValuedProblem) -> np.ndarray:
-    """Grid points where strict domination is always mutual."""
-    return efficient_sets(problem)[1]
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,9 @@ import pytest
 from setopt import (RaySchedule, argmin_scalarized, asymptotic_value,
                     check_asymptotic_gap, check_coercivity, check_regular_global_inf,
                     colevel, colevel_points, compass_directions, contains,
-                    contains_interior, evaluate, existence_report, gerstewitz,
-                    gerstewitz_bisect, global_inf, horizon_outer_limit, scalar_value,
-                    strict_weak_efficient_brute)
+                    contains_interior, efficient_sets, evaluate, existence_report,
+                    gerstewitz, gerstewitz_bisect, global_inf, horizon_outer_limit,
+                    scalar_value)
 from setopt import fixtures as fixture_catalog
 from setopt.sampling import random_cone, random_point, random_problem
 
@@ -71,7 +71,7 @@ def test_tradeoff_segment_fixture(tradeoff):
     expected = {0.0: 0.0, 0.25: 0.5, 0.5: 1.0, 1.0: 0.0, 2.0: 6.0}
     ok = all(abs(values[x] - expected[x]) <= 1e-12 for x in expected)
     ok &= coords_1d(tradeoff, argmin_scalarized(tradeoff)) == [0.0, 1.0]
-    strict = coords_1d(tradeoff, strict_weak_efficient_brute(tradeoff))
+    strict = coords_1d(tradeoff, efficient_sets(tradeoff)[0])
     xs = tradeoff.grid.points[:, 0]
     ok &= strict == sorted(float(x) for x in xs if -1e-9 <= x <= 1.0 + 1e-9)
     ok &= len(strict) > 2  # the argmin pair is a proper subset
@@ -94,7 +94,7 @@ def test_wedge_strip_fixture(wedge):
     ok &= coords_1d(wedge, colevel(wedge, 0.5)) == [0.0]
     report = existence_report(wedge)
     ok &= report.coercive.applicable
-    ok &= coords_1d(wedge, strict_weak_efficient_brute(wedge)) == [0.0]
+    ok &= coords_1d(wedge, efficient_sets(wedge)[0]) == [0.0]
     _report(ok, "wedge strip: value -2 at 0, colevel(0.5) = {0}, coercive route, "
                 "strict solutions {0}")
 
@@ -138,7 +138,7 @@ def test_argmin_within_strict_solutions_random():
     for _ in range(200):
         prob = random_problem(rng)
         argmin = set(argmin_scalarized(prob).tolist())
-        strict = set(strict_weak_efficient_brute(prob).tolist())
+        strict = set(efficient_sets(prob)[0].tolist())
         violations += argmin > strict or not argmin <= strict
     _report(violations == 0,
             "argmin inside the strict efficient set on 200 seeded random problems")

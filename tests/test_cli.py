@@ -188,6 +188,16 @@ def _box_without_resolution():
     return doc
 
 
+def _table_with_a_narrow_cloud():
+    # no grid point reaches the one-coordinate cloud at 3
+    doc = fixtures.document("tradeoff_segment")
+    doc["domain"] = {"points": [[0.0], [1.0], [2.0]]}
+    doc["map"] = {"kind": "table", "parameters": {
+        "points": [[0.0], [1.0], [2.0], [3.0]],
+        "clouds": [[[0.0, 1.0]], [[1.0, 0.0]], [[0.5, 0.5]], [[2.0]]]}}
+    return doc
+
+
 def _edited(name, *keys, value):
     """A maker for the fixture document `name` with doc[k0]...[kn] set to value."""
     def make():
@@ -290,6 +300,13 @@ def _unreached_region(name, region):
     ("map.parameters.lower[0].fn.c", _edited(
         "decay_tail", "map", "parameters", "lower", 0, "fn", "c", value="-1")),
     ("tolerances.cone_tol", _edited("kinked_interval", "tolerances", "cone_tol", value=10**400)),
+    # a cloud of another width than the first, rejected when the map is read,
+    # although no grid point reaches it
+    ("map.parameters.clouds[3]", _table_with_a_narrow_cloud),
+    ("map.parameters.regions[1].cloud", _edited(
+        "tradeoff_segment", "map", "parameters", "regions", value=[
+            {"where": {"type": "interval", "hi": 2.0}, "cloud": {"points": [[0.5, 1.5]]}},
+            {"cloud": {"points": [[0.5, 1.5, 2.0], [1.0, 0.0, 0.0]]}}])),
     # rejected before the ring is allocated
     ("map.parameters.samples", _edited("ramp_gap", "map", value={
         "kind": "ball", "parameters": {"center": {"family": "identity"}, "radius": 1.0,

@@ -63,6 +63,9 @@ def test_cone_validation():
         ConeSpec(np.array([[0.0, 0.0], [0.0, 1.0]]), np.array([1.0, 1.0]))
     with pytest.raises(ProblemValidationError):
         ConeSpec(np.eye(2), np.array([np.inf, 1.0]))
+    for cone_tol in (np.nan, np.inf, 0.0, -1e-12):
+        with pytest.raises(ProblemValidationError, match="cone_tol must be finite and positive"):
+            ConeSpec(np.eye(2), np.array([1.0, 1.0]), cone_tol)
 
 
 coords = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)

@@ -10,7 +10,7 @@ from setopt.problem import build_problem
 from setopt.scalarizer import scalar_field
 from setopt import InternalConsistencyError
 from setopt import diagnostics, fixtures as fixture_catalog
-from setopt.solver import domination_matrix, strict_weak_efficient_brute
+from setopt.solver import domination_matrix, efficient_sets
 
 from conftest import constant_problem
 
@@ -246,7 +246,7 @@ def test_colevel_compact_at_constant():
 ])
 def test_colevel_compact_at_raises_on_a_row_the_relation_cannot_give(tradeoff, monkeypatch,
                                                                      dominated):
-    row = dominated(len(tradeoff.grid), strict_weak_efficient_brute(tradeoff))
+    row = dominated(len(tradeoff.grid), efficient_sets(tradeoff)[0])
     monkeypatch.setattr("setopt.diagnostics.domination_row", lambda problem, i: row)
     with pytest.raises(InternalConsistencyError, match="misses x0 or every strictly efficient"):
         check_colevel_compact_at(tradeoff, [2.0])

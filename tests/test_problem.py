@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from setopt import (DomainGrid, MapModel, ProblemValidationError, SetOptError, build_problem,
-                    colevel, colevel_at_set, evaluate, evaluate_at, gerstewitz_many, global_inf,
-                    scalar_field, scalar_value_at, scalar_values_at, solve, to_document)
+                    check_colevel_compact_at, colevel, colevel_at_set, evaluate, evaluate_at,
+                    gerstewitz_many, global_inf, scalar_field, scalar_value_at, scalar_values_at,
+                    solve, to_document)
 from setopt import asymptotics, diagnostics, scalarizer
 from setopt import problem as problem_module
 from setopt.problem import REGION_TOL, first_failure
@@ -22,7 +23,7 @@ def test_evaluate_tradeoff_segment(tradeoff):
     np.testing.assert_allclose(got.points[0], [0.25, 0.75], atol=1e-12)
     far = evaluate(tradeoff, [2.0])
     assert len(far) == 9  # the sampled square
-    assert far.sampling_note is not None
+    assert tradeoff.map_model.sampling_notes()  # the square's note, kept on the map
 
 
 def test_evaluate_constant_kind():
@@ -171,6 +172,8 @@ def test_each_grid_cloud_is_evaluated_once(name, monkeypatch):
     np.testing.assert_array_equal(batches[0], prob.grid.points)
 
     solve(prob)
+    check_colevel_compact_at(prob, prob.grid.points[0])
+    assert "clouds" not in vars(prob)  # the solve path reads the store, not a per-cloud list
     field = scalar_field(prob)
     colevel(prob, global_inf(prob) + 0.5 * (field.values.max() - global_inf(prob)))
     for x in prob.grid.points:
@@ -257,7 +260,6 @@ def test_map_model_reads_its_parameters_once(doc):
         again = model.cloud_at(x)
         assert again.points.tobytes() == cloud.points.tobytes()
         assert again.points.shape == cloud.points.shape
-        assert again.sampling_note == cloud.sampling_note
     assert model.sampling_notes() == notes
 
 
@@ -358,33 +360,26 @@ def test_each_batch_row_is_the_cloud_of_that_point_alone(name, seed):
                 first_failure(model.clouds_at, X)
             assert str(raised.value) == error
             continue
-        points, starts, notes = first_failure(model.clouds_at, X)
+        points, starts = first_failure(model.clouds_at, X)
         ends = np.append(starts[1:], len(points))
-        assert len(clouds) == len(starts) == len(notes)
-        for cloud, start, end, note in zip(clouds, starts, ends, notes):
+        assert len(clouds) == len(starts)
+        for cloud, start, end in zip(clouds, starts, ends):
             assert points[start:end].shape == cloud.points.shape
             assert points[start:end].tobytes() == cloud.points.tobytes()
-            assert note == cloud.sampling_note
 
 
 def test_affine_rows_are_one_matrix_vector_product_each():
     model = MapModel(kind="piecewise", params={"regions": [{"cloud": _AFFINE_2D}]})
     X = np.random.default_rng(5).normal(size=(50, 2)) * 10.0 ** np.arange(-3, 2).repeat(10)[:, None]
     matrix, offset = np.array(_AFFINE_2D["matrix"]), np.array(_AFFINE_2D["offset"])
-    points, _, _ = model.clouds_at(X)
+    points, _ = model.clouds_at(X)
     assert points.tobytes() == np.array([matrix @ x + offset for x in X]).tobytes()
 
 
-@pytest.mark.parametrize("name", sorted(_BATCH_MAPS) + ["mixed_widths"])
+@pytest.mark.parametrize("name", sorted(_BATCH_MAPS))
 @pytest.mark.parametrize("seed", range(6))
 def test_scalar_values_at_matches_one_point_at_a_time(name, seed):
-    if name == "mixed_widths":  # past 5 the clouds have three coordinates, not two
-        cone, grid, special = _SKEW, [[0.0]], [[5.0], [4.0]]
-        map_doc = {"kind": "piecewise", "parameters": {"regions": [
-            {"where": {"type": "interval", "hi": 5.0}, "cloud": {"points": [[0.5, 1.5]]}},
-            {"cloud": {"points": [[0.5, 1.5, 2.0], [1.0, 0.0, 0.0]]}}]}}
-    else:
-        cone, grid, special, map_doc = _BATCH_MAPS[name]
+    cone, grid, special, map_doc = _BATCH_MAPS[name]
     doc = {"schema_version": "1", "cone": cone, "domain": {"points": grid}, "map": map_doc}
     model = build_problem(doc).map_model
     cone_spec = build_problem(doc).cone
@@ -440,7 +435,7 @@ def test_table_clouds_are_read_in_one_pass_or_named_one_by_one(monkeypatch):
     pts = [[0.0], [1.0], [2.0], [3.0]]
     clouds = [[[0.5, 1]], [[2.0, -1.0], [3, 4.5]], [[0.0, 0.0]], [[-7.25, 1e300]]]
     model = MapModel(kind="table", params={"points": pts, "clouds": clouds})
-    points, starts, _ = model.clouds_at(np.array(pts))
+    points, starts = model.clouds_at(np.array(pts))
     assert read_one == []
     assert points.tobytes() == np.concatenate([np.asarray(c, dtype=float) for c in clouds]).tobytes()
     np.testing.assert_array_equal(starts, [0, 1, 3, 4])
@@ -449,7 +444,7 @@ def test_table_clouds_are_read_in_one_pass_or_named_one_by_one(monkeypatch):
                 [[[1.0, 2.0]]], [[1.0], [1.0, 2.0]], [[10**400, 0.0]], {"points": []}):
         path = "map.parameters.clouds[2]"
         with pytest.raises(ProblemValidationError) as alone:
-            real_cloud(bad, path, None)
+            real_cloud(bad, path)
         with pytest.raises(ProblemValidationError) as in_table:
             MapModel(kind="table", params={"points": pts, "clouds": clouds[:2] + [bad] + clouds[3:]})
         assert str(in_table.value) == str(alone.value) and path in str(alone.value)
@@ -457,6 +452,7 @@ def test_table_clouds_are_read_in_one_pass_or_named_one_by_one(monkeypatch):
     with pytest.raises(ProblemValidationError, match=r"clouds\[1\] holds more than 1 points"):
         MapModel(kind="table", params={"points": pts, "clouds": clouds})
     monkeypatch.undo()
-    # entries of two widths are read one by one; a batch of one width evaluates
-    model = MapModel(kind="table", params={"points": pts, "clouds": clouds[:3] + [[[1.0]]]})
-    np.testing.assert_array_equal(model.clouds_at(np.array(pts[:3]))[0], points[:4])
+    # entries of two widths are read one by one; the first of another width is named
+    with pytest.raises(ProblemValidationError, match=r"clouds\[3\] has points of dimension 1, "
+                                                     r"but map.parameters.clouds\[0\] has 2"):
+        MapModel(kind="table", params={"points": pts, "clouds": clouds[:3] + [[[1.0]]]})

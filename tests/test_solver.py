@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from setopt import (ConeSpec, DomainGrid, MapModel, ProblemValidationError, SetValuedProblem,
                     argmin_scalarized, build_problem, fixtures, scalar_field, setrel, solve,
-                    solver, strict_weak_efficient_brute, strictly_lower_less, to_document,
-                    weak_efficient_brute)
+                    solver, strictly_lower_less, to_document)
 from setopt.cli import main
 from setopt.sampling import random_cone, random_problem
 from setopt.solver import domination_matrix, efficient_sets
@@ -26,38 +25,38 @@ def test_argmin_examples(tradeoff, ramp):
 
 
 def test_strict_efficient_tradeoff(tradeoff):
-    got = coords_1d(tradeoff, strict_weak_efficient_brute(tradeoff))
+    got = coords_1d(tradeoff, efficient_sets(tradeoff)[0])
     xs = tradeoff.grid.points[:, 0]
     expected = sorted(float(x) for x in xs if -1e-9 <= x <= 1.0 + 1e-9)
     assert got == expected
 
 
 def test_strict_efficient_wedge(wedge):
-    assert coords_1d(wedge, strict_weak_efficient_brute(wedge)) == [0.0]
+    assert coords_1d(wedge, efficient_sets(wedge)[0]) == [0.0]
 
 
 def test_single_point_grid():
     prob = constant_problem([[0.0, 0.0]], points=[[4.0]])
-    assert coords_1d(prob, strict_weak_efficient_brute(prob)) == [4.0]
+    assert coords_1d(prob, efficient_sets(prob)[0]) == [4.0]
 
 
 def test_weak_superset_of_strict(tradeoff, wedge, ramp):
     for prob in (tradeoff, wedge, ramp):
-        strict = set(strict_weak_efficient_brute(prob).tolist())
-        weak = set(weak_efficient_brute(prob).tolist())
+        strict = set(efficient_sets(prob)[0].tolist())
+        weak = set(efficient_sets(prob)[1].tolist())
         assert strict <= weak
 
 
 def test_weak_equals_strict_on_tradeoff(tradeoff):
-    np.testing.assert_array_equal(weak_efficient_brute(tradeoff),
-                                  strict_weak_efficient_brute(tradeoff))
+    np.testing.assert_array_equal(efficient_sets(tradeoff)[1],
+                                  efficient_sets(tradeoff)[0])
 
 
 def test_constant_map_everything_efficient():
     prob = constant_problem([[1.0, 3.0]])
     n = len(prob.grid)
-    assert len(strict_weak_efficient_brute(prob)) == n
-    assert len(weak_efficient_brute(prob)) == n
+    assert len(efficient_sets(prob)[0]) == n
+    assert len(efficient_sets(prob)[1]) == n
     assert len(argmin_scalarized(prob)) == n
 
 
@@ -92,6 +91,18 @@ def table_problem(clouds, cone):
     clouds = [np.atleast_2d(np.asarray(c, dtype=float)).tolist() for c in clouds]
     map_model = MapModel(kind="table", params={"points": pts, "clouds": clouds})
     return SetValuedProblem(grid=DomainGrid(np.array(pts)), map_model=map_model, cone=cone)
+
+
+def test_cone_tol_survives_the_round_trip():
+    # under cone_tol = 0.3 neither cloud strictly dominates the other; under
+    # the default 1e-12 the first one would
+    prob = table_problem([[0.0, 0.0], [0.2, 0.2]], ConeSpec.orthant(2, cone_tol=0.3))
+    doc = to_document(prob)
+    assert doc["tolerances"]["cone_tol"] == 0.3
+    rebuilt = build_problem(doc)
+    assert rebuilt.cone.cone_tol == 0.3
+    np.testing.assert_array_equal(efficient_sets(prob)[0], [0, 1])
+    np.testing.assert_array_equal(efficient_sets(rebuilt)[0], [0, 1])
 
 
 def interval_problem(rng):
@@ -245,7 +256,7 @@ def test_sweep_window_absorbs_the_rounding_of_psi():
     psi = scalar_field(prob).values
     assert psi[1] == psi[0]
     assert_sweep_matches_matrix(prob)
-    np.testing.assert_array_equal(strict_weak_efficient_brute(prob), [0])
+    np.testing.assert_array_equal(efficient_sets(prob)[0], [0])
 
 
 def test_sweep_reads_any_relation_the_psi_bound_allows(monkeypatch):
@@ -268,7 +279,7 @@ def test_sweep_reads_any_relation_the_psi_bound_allows(monkeypatch):
                             bool(relation[index[a.tobytes()], index[b.tobytes()]]))
         relation = rng.random((n, n)) < rng.uniform(0.05, 0.7)
         assert_sweep_matches_matrix(prob)
-        split += len(weak_efficient_brute(prob)) > len(strict_weak_efficient_brute(prob))
+        split += len(efficient_sets(prob)[1]) > len(efficient_sets(prob)[0])
     assert split > 0
 
 
@@ -302,8 +313,8 @@ def test_random_problems_inclusions():
     for _ in range(40):
         prob = random_problem(rng)
         argmin = set(argmin_scalarized(prob).tolist())
-        strict = set(strict_weak_efficient_brute(prob).tolist())
-        weak = set(weak_efficient_brute(prob).tolist())
+        strict = set(efficient_sets(prob)[0].tolist())
+        weak = set(efficient_sets(prob)[1].tolist())
         assert argmin <= strict
         assert strict <= weak
         # finite clouds are order-closed and order-proper, which collapses

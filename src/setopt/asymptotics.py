@@ -119,12 +119,33 @@ def asymptotic_cone_estimate(points, radius_threshold: float) -> np.ndarray:
     return np.asarray(reps)
 
 
-def _ray_trace(problem: SetValuedProblem, schedule: RaySchedule) -> tuple[np.ndarray, bool, float]:
-    u = schedule.unit_direction
-    if u.shape[0] != problem.grid.dim_domain:
+def _checked(problem: SetValuedProblem, schedule: RaySchedule) -> RaySchedule:
+    if schedule.direction.shape[0] != problem.grid.dim_domain:
         raise ProblemValidationError("direction dimension does not match the domain")
-    if problem.map_model.is_analytic:
-        return scalar_values_at(problem, schedule.t_values[:, None] * u), False, 0.0
+    return schedule
+
+
+def _ray_traces(problem: SetValuedProblem,
+                schedules: list[RaySchedule]) -> list[tuple[np.ndarray, bool, float]]:
+    """(values, snapped, largest snap distance) along each ray.
+
+    An analytic map reads the rays of all schedules in one
+    `scalar_values_at` call; a table map snaps each radius to the nearest
+    grid point.
+    """
+    if not problem.map_model.is_analytic:
+        return [_snapped_trace(problem, schedule) for schedule in schedules]
+    if not schedules:
+        return []
+    rays = np.concatenate([s.t_values[:, None] * s.unit_direction for s in schedules])
+    values = scalar_values_at(problem, rays)
+    ends = np.cumsum([len(s.t_values) for s in schedules])[:-1]
+    return [(trace, False, 0.0) for trace in np.split(values, ends)]
+
+
+def _snapped_trace(problem: SetValuedProblem,
+                   schedule: RaySchedule) -> tuple[np.ndarray, bool, float]:
+    u = schedule.unit_direction
     values = np.empty(len(schedule.t_values))
     field = scalar_field(problem)
     max_snap = 0.0
@@ -143,7 +164,12 @@ def asymptotic_value(problem: SetValuedProblem, schedule: RaySchedule) -> Asympt
     The liminf over the finite schedule is the minimum over the last
     quarter of the radii.
     """
-    trace, snapped, max_snap = _ray_trace(problem, schedule)
+    trace = _ray_traces(problem, [_checked(problem, schedule)])[0]
+    return _estimate(problem, schedule, *trace)
+
+
+def _estimate(problem: SetValuedProblem, schedule: RaySchedule, trace: np.ndarray,
+              snapped: bool, max_snap: float) -> AsymptoticEstimate:
     tail = max(1, len(trace) // 4)
     value = float(np.min(trace[-tail:]))
     prev = float(np.min(trace[-2 * tail:-tail])) if len(trace) >= 2 * tail else value
@@ -211,13 +237,20 @@ def _gap_report(problem: SetValuedProblem, directions, t_max: float,
     margin = _margin(problem)
     m = global_inf(problem)
     ts = default_t_values(t_max, t_count)
-    estimates = []
-    witnesses = []
+    # every ray up to the first invalid direction is read in one call; that
+    # direction's error comes after theirs, as in a ray-by-ray loop
+    schedules, invalid = [], None
     for u in directions:
-        est = asymptotic_value(problem, RaySchedule(u, ts))
-        estimates.append(est)
-        if not est.value > m + margin:
-            witnesses.append(est.direction)
+        try:
+            schedules.append(_checked(problem, RaySchedule(u, ts)))
+        except ProblemValidationError as error:
+            invalid = error
+            break
+    estimates = [_estimate(problem, schedule, *trace)
+                 for schedule, trace in zip(schedules, _ray_traces(problem, schedules))]
+    if invalid is not None:
+        raise invalid
+    witnesses = [est.direction for est in estimates if not est.value > m + margin]
     note = (
         f"sampled {len(directions)} directions with constant-direction rays; "
         "a holds verdict is evidence at this sampling, not a proof"

@@ -113,14 +113,36 @@ def gerstewitz(cone: ConeSpec, y) -> float:
     return float(np.min((cone.dual_generators @ y) / cone._unit_scores))
 
 
+def fold_columns(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """ufunc.reduce over the last axis of a, folded one column at a time.
+
+    numpy reduces a short last axis (a few generators or coordinates) with
+    one inner-loop call per output element, many times slower than one
+    whole-array call per column.  The fold takes the columns in the
+    reduce's order, so minimum, maximum and logical_and give its bits,
+    signed zeros included, and NaN where it gives NaN (the reduce picks
+    the sign of a NaN its own way; nothing reads that sign).
+    """
+    out = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        ufunc(out, a[..., j], out=out)
+    return out
+
+
 def gerstewitz_many(cone: ConeSpec, ys: np.ndarray) -> np.ndarray:
-    """Vectorized gerstewitz over the rows of a (p, m) array, or of a (c, p, m) stack."""
+    """Vectorized gerstewitz over the rows of a (p, m) array, or of a (c, p, m) stack.
+
+    The least score ratio is taken one generator at a time (`fold_columns`),
+    since k is small and the stacks of a refinement read are large.
+    """
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     if ys.shape[-1] != cone.dim_image:
         raise DimensionMismatchError(
             f"points have dimension {ys.shape[-1]}, cone expects {cone.dim_image}"
         )
-    return np.min((ys @ cone.dual_generators.T) / cone._unit_scores, axis=-1)
+    ratios = ys @ cone.dual_generators.T
+    ratios /= cone._unit_scores
+    return fold_columns(np.minimum, ratios)
 
 
 def gerstewitz_bisect(cone: ConeSpec, y, tol: float = 1e-10, max_doublings: int = 200) -> float:

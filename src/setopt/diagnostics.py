@@ -15,11 +15,15 @@ grid the collar is computed on the index lattice, as the 3^d - 1 lattice
 neighbours of each member; a grid given as points is scanned pairwise.
 Regular-global-inf takes the near-infimum set inside its norm ball,
 transfer closedness the colevel set at the smallest sampled height, and
-one refinement verdict (`_refine`) classifies every collar point for
-both.  `_refine` builds all its probe rings, keeps those in the domain
-and reads them in one `scalar_values_at` call; that keeps each off-grid
-value, so a probe point costs one map evaluation per problem however
-often it is revisited.
+one refinement verdict (`_refine`) classifies the collar points for
+both, a whole check's points in one batch: their probes are the points
+plus the same per-radius offsets, kept where they lie in the domain and
+read in one `scalar_values_at` call, so each check makes one off-grid
+read.  That call keeps each off-grid value, so a probe point costs one
+map evaluation per problem however often it is revisited.  Transfer
+closedness stops at its first witness; if the batch read raises, it
+reads its points one at a time, so that only an error met before that
+witness is raised.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ import numpy as np
 
 from .asymptotics import (GapReport, _margin, check_asymptotic_gap, compass_directions,
                           default_lambda_schedule)
-from .errors import InternalConsistencyError, ProblemValidationError
+from .cone import fold_columns
+from .errors import InternalConsistencyError, ProblemValidationError, SetOptError
 from .problem import SetValuedProblem
 from .scalarizer import colevel, scalar_field, scalar_values_at
 from .solver import domination_row, efficient_sets
@@ -78,7 +83,7 @@ def _domain_mask(problem: SetValuedProblem, pts: np.ndarray,
     keep = np.ones(len(pts), dtype=bool)
     if problem.grid.box is not None:
         lo, hi = problem.grid.box[:, 0], problem.grid.box[:, 1]
-        keep &= np.all(pts >= lo - 1e-12, axis=1) & np.all(pts <= hi + 1e-12, axis=1)
+        keep &= fold_columns(np.logical_and, (pts >= lo - 1e-12) & (pts <= hi + 1e-12))
     if restrict_norm is not None:
         keep &= np.linalg.norm(pts, axis=1) <= restrict_norm + 1e-12
     return keep
@@ -118,41 +123,54 @@ def _collar(problem: SetValuedProblem, members: np.ndarray) -> np.ndarray:
     return outside[near]
 
 
-def _probe_ring(x0: np.ndarray, r: float) -> np.ndarray:
-    n = x0.shape[0]
-    if n == 1:
-        offsets = np.concatenate([np.linspace(r / 8.0, r, 8), -np.linspace(r / 8.0, r, 8)])
-        return x0[None, :] + offsets[:, None]
-    ring = compass_directions(n)[: 16 if n == 2 else 2 * n]
-    return np.vstack([x0 + r * ring, x0 + 0.5 * r * ring])
+def _probe_offsets(d: int, r: float) -> np.ndarray:
+    """The offsets from a point of R^d to its probes at the sub-step radius r."""
+    if d == 1:
+        return np.concatenate([np.linspace(r / 8.0, r, 8), -np.linspace(r / 8.0, r, 8)])[:, None]
+    ring = compass_directions(d)[: 16 if d == 2 else 2 * d]
+    return np.vstack([r * ring, 0.5 * r * ring])
 
 
-def _refine(problem: SetValuedProblem, x0: np.ndarray, level: float,
-            restrict_norm: float | None) -> tuple[str | None, list[float]]:
-    """Refine below the grid step around x0; returns (verdict, minima trace).
+def _refine(problem: SetValuedProblem, X0: np.ndarray, level: float,
+            restrict_norm: float | None) -> list[tuple[str | None, list[float]]]:
+    """Refine below the grid step around each row of X0; a (verdict, minima trace) per row.
 
-    The trace holds the least probe value inside the domain per sub-step
-    radius, smallest radius last.  The verdict is "witness" if its last
-    entry is at most `level`; "unresolved" for a table map, for no probe
-    inside the domain, or for minima still descending at the floor; else None.
+    A row's trace holds the least probe value inside the domain per
+    sub-step radius, smallest radius last.  Its verdict is "witness" if
+    the last entry is at most `level`; "unresolved" for a table map, for no
+    probe inside the domain, or for minima still descending at the floor;
+    else None.  Every radius has as many probes; the probes of all rows are
+    the rows plus the same offsets, masked once and read in one
+    `scalar_values_at` call, and each row's result is the one it gets alone.
     """
     if not problem.map_model.is_analytic:
-        return "unresolved", []
-    rings = [_probe_ring(x0, float(r))
-             for r in float(problem.grid.step_estimate().max()) * np.asarray(_REFINE_LEVELS)]
-    probes = np.concatenate(rings)
-    inside = _domain_mask(problem, probes, restrict_norm)
-    ring = np.repeat(np.arange(len(rings)), [len(p) for p in rings])[inside]
-    values = scalar_values_at(problem, probes[inside])
-    minima = [min(values[ring == k].tolist()) for k in np.unique(ring)]
-    if not minima:
-        return "unresolved", minima
-    if minima[-1] <= level:
-        return "witness", minima
+        return [("unresolved", [])] * len(X0)
+    d = X0.shape[1]
+    radii = float(problem.grid.step_estimate().max()) * np.asarray(_REFINE_LEVELS)
+    probes = X0[:, None, None, :] + np.stack([_probe_offsets(d, float(r)) for r in radii])
+    inside = _domain_mask(problem, probes.reshape(-1, d), restrict_norm).reshape(probes.shape[:3])
+    values = np.full(inside.shape, np.inf)  # a probe outside the domain never lowers a minimum
+    values[inside] = scalar_values_at(problem, probes[inside])
+    # min() of the values inside the domain at one radius: the first of them
+    # if it is NaN, else the first least one; so no later NaN may win the argmin
+    later = np.arange(inside.shape[2]) != inside.argmax(axis=2)[..., None]
+    values[later & np.isnan(values)] = np.inf
+    lows = np.take_along_axis(values, values.argmin(axis=2)[..., None], axis=2)[..., 0]
     tie = problem.tolerances.tie_tol
-    if len(minima) >= 3 and minima[-1] < minima[-2] - tie and minima[-2] < minima[-3] - tie:
-        return "unresolved", minima  # still descending toward the level
-    return None, minima
+    results = []
+    for row_lows, row_reached in zip(lows.tolist(), inside.any(axis=2)):
+        minima = [low for low, hit in zip(row_lows, row_reached) if hit]
+        if not minima:
+            verdict = "unresolved"
+        elif minima[-1] <= level:
+            verdict = "witness"
+        elif (len(minima) >= 3 and minima[-1] < minima[-2] - tie
+              and minima[-2] < minima[-3] - tie):
+            verdict = "unresolved"  # still descending toward the level
+        else:
+            verdict = None
+        results.append((verdict, minima))
+    return results
 
 
 def _inconclusive(problem: SetValuedProblem, evidence: dict, unresolved: list) -> Verdict:
@@ -180,11 +198,11 @@ def check_regular_global_inf(problem: SetValuedProblem,
     m = float(values[inside].min())
     margin = _margin(problem)
     step = float(problem.grid.step_estimate().max())
+    collar = _collar(problem, np.flatnonzero(inside & (values <= m + margin)))
+    collar = collar[inside[collar]]
     witnesses, unresolved = [], []
-    for c in _collar(problem, np.flatnonzero(inside & (values <= m + margin))):
-        if not inside[c]:
-            continue
-        verdict, minima = _refine(problem, pts[c], m + margin, restrict_norm)
+    for c, (verdict, minima) in zip(collar, _refine(problem, pts[collar], m + margin,
+                                                    restrict_norm)):
         if verdict == "witness":
             witnesses.append((pts[c], minima))
         elif verdict == "unresolved":
@@ -245,11 +263,16 @@ def check_transfer_closed(problem: SetValuedProblem, lam_samples=None) -> Verdic
         "collar_points": pts[collar],
     }
     level = float(lam_samples.min()) + margin
+    # a collar point whose own value is already low is no closure gap
+    gaps = collar[~(field.values[collar] <= level)]
+    try:
+        refined = _refine(problem, pts[gaps], level, None)
+    except SetOptError:
+        # the batch reads past the first witness, where the check stops;
+        # one point at a time, only an error met before it is raised
+        refined = (_refine(problem, pts[[i]], level, None)[0] for i in gaps)
     unresolved = []
-    for i in collar:
-        if field.values[i] <= level:
-            continue  # value at the collar point itself is already low; not a closure gap
-        verdict, minima = _refine(problem, pts[i], level, None)
+    for i, (verdict, minima) in zip(gaps, refined):
         if verdict == "witness":
             evidence["local_minima_trace"] = minima
             evidence["witness_lambda"] = float(

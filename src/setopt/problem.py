@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cone import DEFAULT_CONE_TOL, ConeSpec
+from .cone import DEFAULT_CONE_TOL, ConeSpec, fold_columns
 from .errors import DimensionMismatchError, ProblemValidationError, SetOptError
 from .setrel import PointCloudSet
 
@@ -347,7 +347,7 @@ def _read_point(value, path: str):
     def at(X: np.ndarray) -> np.ndarray:
         if X.shape[1:] != target.shape:
             return np.zeros(len(X), dtype=bool)
-        return np.max(np.abs(X - target), axis=1) <= REGION_TOL
+        return fold_columns(np.logical_and, np.abs(X - target) <= REGION_TOL)
     return at
 
 
@@ -766,10 +766,10 @@ class SetValuedProblem:
         abs_points = np.abs(self.cloud_points)
         with np.errstate(over="ignore"):
             mags = np.maximum.reduceat(abs_points @ np.abs(w).T, self.cloud_starts)
-            psi_bounds = (mags / self.cone._unit_scores).max(axis=1)
-        coords = np.maximum.reduceat(abs_points.max(axis=1), self.cloud_starts)
+            psi_bounds = fold_columns(np.maximum, mags / self.cone._unit_scores)
+        coords = np.maximum.reduceat(fold_columns(np.maximum, abs_points), self.cloud_starts)
         half = np.finfo(float).max / 2
-        large = np.maximum(np.maximum(mags.max(axis=1), coords), psi_bounds) > half
+        large = np.maximum(np.maximum(fold_columns(np.maximum, mags), coords), psi_bounds) > half
         if large.any():
             raise ProblemValidationError(
                 f"map value at grid point {self.grid.points[np.argmax(large)].tolist()} is too "
@@ -786,8 +786,10 @@ class SetValuedProblem:
 
 
 def evaluate(problem: SetValuedProblem, x) -> PointCloudSet:
-    """The stored cloud of a grid point x."""
-    return problem.clouds[problem.grid.locate(x)]
+    """The stored cloud of a grid point x, sliced from the store."""
+    i, starts = problem.grid.locate(x), problem.cloud_starts
+    stop = starts[i + 1] if i + 1 < len(starts) else len(problem.cloud_points)
+    return PointCloudSet(problem.cloud_points[starts[i]:stop])
 
 
 def evaluate_at(problem: SetValuedProblem, x) -> PointCloudSet:

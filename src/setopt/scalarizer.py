@@ -100,10 +100,14 @@ def _cloud_minima(problem: SetValuedProblem, X: np.ndarray) -> np.ndarray:
 
     Clouds of one size are scored by one stacked product, a product per
     cloud: a flat product over all rows would take another BLAS kernel
-    for one-point clouds and round them differently.
+    for one-point clouds and round them differently.  When every cloud
+    has the same size, the stack is the points reshaped.
     """
     points, starts = problem.map_model.clouds_at(X)
     sizes = np.diff(starts, append=len(points))
+    if len(X) and (sizes == sizes[0]).all():
+        stack = points.reshape(len(X), sizes[0], -1)
+        return _cone.gerstewitz_many(problem.cone, stack).min(axis=1)
     values = np.empty(len(X))
     for size in np.unique(sizes):
         rows = np.flatnonzero(sizes == size)
@@ -136,7 +140,7 @@ def colevel(problem: SetValuedProblem, lam: float) -> np.ndarray:
 
     cone = problem.cone
     probe = (lam * cone.order_unit) @ cone.dual_generators.T
-    above = (problem.cloud_scores - probe > cone.cone_tol).all(axis=1)
+    above = _cone.fold_columns(np.logical_and, problem.cloud_scores - probe > cone.cone_tol)
     by_relation = ~np.logical_and.reduceat(above, problem.cloud_starts)
 
     band = 2.0 * tie + cone.cone_tol / cone._unit_scores.min()

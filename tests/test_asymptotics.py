@@ -62,9 +62,10 @@ def test_gap_verdicts(decay, ramp, wedge):
 
 def test_gap_report_is_computed_once_per_problem(monkeypatch):
     rays = []
-    real = asymptotics.asymptotic_value
-    monkeypatch.setattr(asymptotics, "asymptotic_value",
-                        lambda problem, schedule: rays.append(schedule) or real(problem, schedule))
+    real = asymptotics._ray_traces
+    monkeypatch.setattr(asymptotics, "_ray_traces",
+                        lambda problem, schedules: rays.extend(schedules)
+                        or real(problem, schedules))
     decay = fixtures.build("decay_tail")
     report = existence_report(decay)
     horizon = horizon_outer_limit(decay, default_lambda_schedule(decay))
@@ -147,3 +148,29 @@ def test_horizon_agrees_with_gap_on_all_fixtures():
         prob = fixture_catalog.build(name, **kwargs)
         report = horizon_outer_limit(prob, default_lambda_schedule(prob))
         assert report.consistent_with_gap, name
+
+
+def test_gap_report_reads_every_ray_in_one_call(monkeypatch):
+    reads = []
+    real = asymptotics.scalar_values_at
+    monkeypatch.setattr(asymptotics, "scalar_values_at",
+                        lambda problem, X: reads.append(len(X)) or real(problem, X))
+    disc = fixtures.build("shifted_disc", samples=8)
+    assert len(check_asymptotic_gap(disc).estimates) == 16
+    assert reads == [16 * asymptotics.DEFAULT_T_COUNT]
+
+
+def test_gap_report_raises_the_error_of_the_first_failing_ray():
+    # psi is defined up to x = 100 only, so the rays along +1 fail past it;
+    # an invalid direction after that ray is not reached, one before it is
+    prob = SetValuedProblem(
+        grid=DomainGrid.from_box([[-3.0, 3.0]], [7]),
+        map_model=MapModel(kind="piecewise", params={"regions": [
+            {"where": {"type": "interval", "hi": 100.0}, "cloud": {"points": [[0.0]]}}]}),
+        cone=ConeSpec.orthant(1, [1.0]),
+    )
+    for directions, error in [([[-1.0], [1.0], [0.0]], "no region covers x=\\[142.51"),
+                              ([[-1.0], [0.0], [1.0]], "nonzero"),
+                              ([[1.0, 0.0], [1.0, 1.0]], "direction dimension")]:
+        with pytest.raises(ProblemValidationError, match=error):
+            check_asymptotic_gap(prob, directions=directions)

@@ -143,3 +143,31 @@ def test_gerstewitz_many_matches_scalar():
         batch = gerstewitz_many(cone, ys)
         for row, expected in zip(ys, batch):
             assert gerstewitz(cone, row) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_gerstewitz_many_equals_the_reduce_over_generators(k):
+    # scores from a few exact values tie often, hit both signed zeros and
+    # overflow to +-inf (or NaN); the generator-by-generator minimum must
+    # keep the bits of np.min over the generator axis, NaN where it has NaN
+    # (numpy's reduce picks the sign of a NaN its own way; JSON, comparisons
+    # and arithmetic never read it)
+    rng = np.random.default_rng(k)
+    values = np.array([0.0, -0.0, 1.0, -1.0, 0.5, 3.0, np.inf, -np.inf, 1e308, -1e308])
+    for m in (1, 2, 3):
+        rows = []
+        while len(rows) < k:
+            w = rng.integers(-1, 3, m).astype(float)
+            if w.sum() > 0.0:
+                rows.append(w)
+        cone = ConeSpec(np.array(rows), np.full(m, 0.5))
+        for shape in [(int(rng.integers(1, 400)), m), (int(rng.integers(1, 30)), 36, m)]:
+            ys = rng.choice(values, size=shape)
+            ys[rng.random(shape[:-1]) < 0.3] = rng.normal(size=m)
+            with np.errstate(all="ignore"):
+                expected = np.min((ys @ cone.dual_generators.T) / cone._unit_scores, axis=-1)
+                got = gerstewitz_many(cone, ys)
+            assert got.shape == expected.shape
+            nan = np.isnan(expected)
+            np.testing.assert_array_equal(np.isnan(got), nan)
+            assert got[~nan].tobytes() == expected[~nan].tobytes()

@@ -1,3 +1,6 @@
+import json
+import zlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from setopt.problem import build_problem
 from setopt.scalarizer import scalar_field
 from setopt import InternalConsistencyError
 from setopt import diagnostics, fixtures as fixture_catalog
+from setopt.cli import main
 from setopt.solver import domination_matrix, efficient_sets
 
 from conftest import constant_problem
@@ -153,8 +157,8 @@ def test_rgi_refines_every_lattice_neighbour_of_the_infimum(monkeypatch):
     refined = []
     refine = diagnostics._refine
     monkeypatch.setattr(diagnostics, "_refine",
-                        lambda problem, x0, *args: refined.append(x0.tolist())
-                        or refine(problem, x0, *args))
+                        lambda problem, X0, *args: refined.extend(X0.tolist())
+                        or refine(problem, X0, *args))
     assert check_regular_global_inf(prob).status == "holds"
     assert refined == [p for p in prob.grid.points.tolist() if p != [0.0, 0.0]]
 
@@ -170,11 +174,116 @@ def test_coercivity_reads_each_colevel_set_once(decay, monkeypatch):
 
 def test_refine_verdicts(decay):
     level = scalar_field(decay).inf_value + diagnostics._margin(decay)
-    assert diagnostics._refine(decay, np.array([0.0]), level, None)[0] == "witness"
-    assert diagnostics._refine(decay, np.array([5.0]), level, None)[0] is None
+    (at_zero, _), (at_five, _) = diagnostics._refine(decay, np.array([[0.0], [5.0]]), level, None)
+    assert at_zero == "witness"
+    assert at_five is None
     # every probe around 5 lies outside the unit ball
-    assert diagnostics._refine(decay, np.array([5.0]), level, 1.0) == ("unresolved", [])
-    assert diagnostics._refine(_table_with_gap(), np.array([1.0]), 0.0, None) == ("unresolved", [])
+    assert diagnostics._refine(decay, np.array([[5.0]]), level, 1.0) == [("unresolved", [])]
+    assert diagnostics._refine(_table_with_gap(), np.array([[1.0]]), 0.0, None) \
+        == [("unresolved", [])]
+
+
+def _bits(results):
+    """Refinement results with every minimum as its exact bits (signed zeros apart)."""
+    return [(verdict, [low.hex() for low in minima]) for verdict, minima in results]
+
+
+@pytest.mark.parametrize("name", sorted(fixture_catalog.FIXTURES))
+def test_batched_refine_equals_its_row_by_row_calls(name, monkeypatch):
+    # every batch the checks refine: the rgi collars, unrestricted and per
+    # norm ball, and the transfer collar; each check reads its collar once
+    calls = []
+    refine = diagnostics._refine
+    monkeypatch.setattr(diagnostics, "_refine",
+                        lambda problem, X0, *args: calls.append((X0, *args))
+                        or refine(problem, X0, *args))
+    sizes = {"sample_size": 100} if name == "hyperbola_escape" else {}
+    prob = fixture_catalog.build(name, **sizes)
+    report = existence_report(prob)
+    check_transfer_closed(prob)
+    restrictions = [None] + [float(n) for n in report.restricted_rgi]
+    assert [restrict for _, _, restrict in calls[:-1]] == restrictions
+    alone = fixture_catalog.build(name, **sizes)  # a fresh memo for the one-row calls
+    for X0, level, restrict in calls:
+        rows = [refine(alone, X0[i:i + 1], level, restrict)[0] for i in range(len(X0))]
+        assert _bits(refine(prob, X0, level, restrict)) == _bits(rows)
+
+
+def _one_point_refinement_minima(problem, x0, restrict_norm):
+    """The minima trace of one point, taken ring by ring with Python's min()."""
+    step = float(problem.grid.step_estimate().max())
+    rings = [x0 + diagnostics._probe_offsets(len(x0), float(r))
+             for r in step * np.asarray(diagnostics._REFINE_LEVELS)]
+    probes = np.concatenate(rings)
+    inside = diagnostics._domain_mask(problem, probes, restrict_norm)
+    ring = np.repeat(np.arange(len(rings)), [len(p) for p in rings])[inside]
+    values = diagnostics.scalar_values_at(problem, probes[inside])
+    return [min(values[ring == k].tolist()) for k in np.unique(ring)]
+
+
+def test_refinement_minima_are_pythons_min_over_each_radius(decay, shifted72, monkeypatch):
+    # probe values drawn from ties, signed zeros, infinities and NaN, fixed
+    # per probe point: each radius's minimum is min() of its values inside
+    # the domain, NaN only when the first of them is NaN
+    pool = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]
+    monkeypatch.setattr(diagnostics, "scalar_values_at", lambda problem, X: np.array(
+        [pool[zlib.crc32(row.tobytes()) % len(pool)] for row in np.asarray(X)]))
+    for prob, restrict in [(decay, None), (decay, 9.95), (shifted72, None), (shifted72, 1.7)]:
+        X0 = prob.grid.points
+        for (_, minima), x0 in zip(diagnostics._refine(prob, X0, 0.0, restrict), X0):
+            expected = _one_point_refinement_minima(prob, x0, restrict)
+            assert [low.hex() for low in minima] == [low.hex() for low in expected]
+
+
+def _mirrored(where):
+    """The region predicate of the mirror image x -> -x."""
+    if where["type"] == "eq":
+        return {"type": "eq", "point": [-where["point"][0]]}
+    out = {"type": "interval"}
+    if "hi" in where:
+        out["lo"], out["lo_strict"] = -where["hi"], where.get("hi_strict", False)
+    if "lo" in where:
+        out["hi"], out["hi_strict"] = -where["lo"], where.get("lo_strict", False)
+    return out
+
+
+def _piecewise_with_an_uncovered_probe(witness_first: bool):
+    # psi is -5 below -0.4 and from 0.5 on, 2 at the collar points -0.4 and
+    # 0.4, and 1 on (-0.4, 0.35]; no region covers the probes beside 0.4,
+    # while the probes left of -0.4 reach -5, a transfer witness
+    regions = [
+        {"where": {"type": "interval", "hi": -0.4, "hi_strict": True},
+         "cloud": {"points": [[-5.0]]}},
+        {"where": {"type": "interval", "lo": 0.5}, "cloud": {"points": [[-5.0]]}},
+        {"where": {"type": "eq", "point": [-0.4]}, "cloud": {"points": [[2.0]]}},
+        {"where": {"type": "eq", "point": [0.4]}, "cloud": {"points": [[2.0]]}},
+        {"where": {"type": "interval", "lo": -0.4, "lo_strict": True, "hi": 0.35},
+         "cloud": {"points": [[1.0]]}},
+    ]
+    if not witness_first:  # mirrored, the uncovered probes come first
+        regions = [{**region, "where": _mirrored(region["where"])} for region in regions]
+    return {"schema_version": "1", "cone": {"dual_generators": [[1.0]], "q": [1.0]},
+            "domain": {"box": [[-1.0, 1.0]], "resolution": [21]},
+            "map": {"kind": "piecewise", "parameters": {"regions": regions}}}
+
+
+def test_transfer_stops_at_its_first_witness_before_an_uncovered_probe(tmp_path, capsys):
+    doc = _piecewise_with_an_uncovered_probe(witness_first=True)
+    verdict = check_transfer_closed(build_problem(doc))
+    assert verdict.status == "fails"
+    assert verdict.witness == pytest.approx([-0.4])
+    path = tmp_path / "witness_first.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path), "--transfer"]) == 0
+    assert json.loads(capsys.readouterr().out)["transfer_closed"]["status"] == "fails"
+    # regular-global-inf refines every collar point, so it meets the uncovered probe
+    assert main(["check", str(path), "--rgi"]) == 1
+    assert "no region covers x=[0.406" in capsys.readouterr().err
+    # mirrored, the uncovered probe comes before the witness
+    path = tmp_path / "uncovered_first.json"
+    path.write_text(json.dumps(_piecewise_with_an_uncovered_probe(witness_first=False)))
+    assert main(["check", str(path), "--transfer"]) == 1
+    assert "no region covers x=[-0.39" in capsys.readouterr().err
 
 
 def _constant_box(resolution):

@@ -3,13 +3,15 @@
 The files under golden/ were recorded before the evaluated-cloud store
 replaced per-layer map evaluation (the `solve` files before the
 staircase domination kernel, the `compact_at` and `directions` files
-before reports were encoded by one JSON hook), so any output those
-changes move shows up here.  Each colevel case uses one height strictly
+before reports were encoded by one JSON hook, the benchmark-sized
+`check` files before each check refined its collar in one batch), so
+any output those changes move shows up here.  Each colevel case uses one height strictly
 between the fixture's scalar infimum and its maximum over the grid;
 each compact-at case uses one grid point, and together they cover the
 holds and the fails verdict.
 """
 
+import json
 import pathlib
 
 import pytest
@@ -56,6 +58,14 @@ DIRECTIONS = {
 }
 
 
+# `check --all --transfer` at the grid and cloud sizes of the benchmark's
+# lattice_checks ops: golden name -> (fixture, its arguments, resolution)
+BENCHMARK_SIZED = {
+    "decay_tail_2001": ("decay_tail", {}, [2001]),
+    "shifted_disc_11x11": ("shifted_disc", {"samples": 36}, [11, 11]),
+}
+
+
 @pytest.fixture(scope="module")
 def fixture_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("fixtures")
@@ -96,3 +106,14 @@ def test_directions_match_golden(name, fixture_dir, capsys):
 def test_oracle_matches_golden(capsys):
     out = _stdout(["oracle", "random", "--seed", "7", "--count", "200"], capsys)
     assert out == (GOLDEN / "oracle.random.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_SIZED))
+def test_benchmark_sized_check_matches_golden(name, tmp_path, capsys):
+    fixture, kwargs, resolution = BENCHMARK_SIZED[name]
+    doc = fixtures.document(fixture, **kwargs)
+    doc["domain"]["resolution"] = resolution
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    argv = ["check", str(path), "--all", "--transfer"]
+    assert _stdout(argv, capsys) == (GOLDEN / f"{name}.check.json").read_bytes()

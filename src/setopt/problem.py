@@ -27,12 +27,13 @@ kept only for writing the document back.
 
 Building a problem evaluates the map at all grid points in one call, into
 the store that every grid-side layer reads instead of evaluating again.
-The store is bounded in total (MAX_CLOUD_POINTS) before it is allocated.
+This module is the one home of the store's layout (`_runs` gathers clouds
+from a stack), its total bound (MAX_CLOUD_POINTS, checked before it is
+allocated) and its magnitude bounds (`_magnitudes`, met off the grid too).
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -326,19 +327,25 @@ class _StoreTooLarge(ProblemValidationError):
     """
 
 
-def _starts(sizes: np.ndarray, knobs: str) -> np.ndarray:
+def _starts(sizes: np.ndarray, knobs: str | None = None) -> np.ndarray:
     """Where each cloud starts when clouds of `sizes` points are stacked.
 
-    Every grid point stores its own copy of its cloud, so the total is
-    checked here, before the stack is allocated; `knobs` names the
-    document entries that set it.
+    Given the `knobs`, the document entries that set the sizes, the total
+    is checked here, before a batch's stack is allocated.
     """
     total = int(sizes.sum())
-    if total > MAX_CLOUD_POINTS:
+    if knobs is not None and total > MAX_CLOUD_POINTS:
         raise _StoreTooLarge(
             f"the clouds at {len(sizes):,} domain points hold {total:,} points in all, more "
             f"than the {MAX_CLOUD_POINTS:,} a problem may store; lower {knobs}")
     return np.cumsum(sizes) - sizes
+
+
+def _runs(starts: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of the runs starts[c], ..., starts[c] + sizes[c] - 1 laid end
+    to end, and where each run begins in them: the gather of clouds from a stack."""
+    offsets = _starts(sizes)
+    return np.arange(int(sizes.sum())) + np.repeat(starts - offsets, sizes), offsets
 
 
 def _read_point(value, path: str):
@@ -476,7 +483,7 @@ def _nearest(points: np.ndarray, order: np.ndarray, keys: np.ndarray, X: np.ndar
         if not c.any():
             continue
         row = np.repeat(np.arange(first, first + len(c)), c)
-        cand = order[np.repeat(lo[block] - (np.cumsum(c) - c), c) + np.arange(int(c.sum()))]
+        cand = order[_runs(lo[block], c)[0]]
         dist = np.max(np.abs(points[cand] - X[row]), axis=1)
         pick = np.lexsort((cand, dist, row))  # per row: least distance, then least index
         head = pick[np.r_[True, row[pick][1:] != row[pick][:-1]]]
@@ -503,7 +510,7 @@ def _read_table(params, notes: list):
     order = np.argsort(pts[:, 0], kind="stable")
     keys = pts[order, 0]
     sizes = np.array([len(cloud) for cloud in clouds])
-    offsets = np.cumsum(sizes) - sizes
+    offsets = _starts(sizes)
     def table(X: np.ndarray):
         if X.shape[1:] != pts.shape[1:]:
             raise ProblemValidationError(f"{_PARAMS}.points have dimension {pts.shape[1]}, but "
@@ -512,10 +519,8 @@ def _read_table(params, notes: list):
         if (index < 0).any():
             raise ProblemValidationError(
                 f"table map has no entry for x={X[np.argmax(index < 0)].tolist()}")
-        chosen = sizes[index]
-        starts = _starts(chosen, "domain.resolution")
-        rows = np.repeat(offsets[index] - starts, chosen) + np.arange(int(chosen.sum()))
-        return stacked.take(rows, axis=0), starts
+        starts = _starts(sizes[index], "domain.resolution")
+        return stacked.take(_runs(offsets[index], sizes[index])[0], axis=0), starts
     return table, int(sizes.max()), stacked.shape[1]
 
 
@@ -615,10 +620,10 @@ def _read_piecewise(params, notes: list):
             raise ProblemValidationError(f"no region covers x={X[np.argmax(region < 0)].tolist()}")
         starts = _starts(sizes[region], "domain.resolution")
         points = np.empty((int(sizes[region].sum()), width))
-        for k, (_, cloud, size, _) in enumerate(read):
+        for k, (_, cloud, _, _) in enumerate(read):
             rows = np.flatnonzero(region == k)
             if len(rows):
-                points[(starts[rows, None] + np.arange(size)).reshape(-1)] = cloud(X[rows])
+                points[_runs(starts[rows], sizes[region[rows]])[0]] = cloud(X[rows])
         return points, starts
     return piecewise, int(sizes.max()), width
 
@@ -723,16 +728,38 @@ class MapModel:
         return {"kind": self.kind, "parameters": json.loads(json.dumps(self.params))}
 
 
+def _magnitudes(cone: ConeSpec, points: np.ndarray, starts: np.ndarray, X: np.ndarray,
+                where: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per cloud of a stack, the maxima of |w_j| . |p| and the bound on |psi| over it.
+
+    Twice every |p|, every |w| . |p| and every |w| . |p| / <w, q> must
+    stay finite, so that point differences, scores, score differences and
+    psi with its rounding slack cannot overflow; else this raises, naming
+    the row of X (a `where`) of the first cloud that does not.
+    """
+    abs_points = np.abs(points)
+    with np.errstate(over="ignore"):
+        mags = np.maximum.reduceat(abs_points @ np.abs(cone.dual_generators).T, starts)
+        psi_bounds = fold_columns(np.maximum, mags / cone._unit_scores)
+    coords = fold_columns(np.maximum, np.maximum.reduceat(abs_points, starts))
+    half = np.finfo(float).max / 2
+    large = np.maximum(np.maximum(fold_columns(np.maximum, mags), coords), psi_bounds) > half
+    if large.any():
+        raise ProblemValidationError(
+            f"map value at {where} {X[np.argmax(large)].tolist()} is too large: coordinates, "
+            f"generator scores and generator scores over <w, q> must not exceed {half:g}")
+    return mags, psi_bounds
+
+
 @dataclass
 class SetValuedProblem:
     """A full instance: grid, map model, cone, tolerances, asserted flags.
 
     The store: the clouds' rows stacked in grid order in `cloud_points`,
-    cloud i from row `cloud_starts[i]`, and on demand the same clouds as
-    views in `clouds`; the generator scores <w_j, p> of those rows in
-    `cloud_scores`, per cloud the maximum of |w_j| . |p| in
-    `cloud_magnitudes`, and per cloud the maximum over j of that over
-    <w_j, q>, which bounds |psi| over the cloud, in `cloud_psi_bounds`.
+    cloud i from row `cloud_starts[i]`, viewed alone as `cloud(i)`; the
+    generator scores <w_j, p> of those rows in `cloud_scores`, and from
+    `_magnitudes`, per cloud the maximum of |w_j| . |p| in
+    `cloud_magnitudes` and the bound on |psi| in `cloud_psi_bounds`.
     Instances are immutable by convention after construction; the private
     cache holds derived artifacts (scalar field, efficient sets, gap
     report, off-grid scalar values).
@@ -759,37 +786,19 @@ class SetValuedProblem:
         if dim != cone_dim:
             raise ProblemValidationError(
                 f"map image dimension {dim} does not match cone dimension {cone_dim}")
-        w = self.cone.dual_generators
-        # twice every |p|, every |w| . |p| and every |w| . |p| / <w, q> must
-        # stay finite, so that point differences, scores, score differences
-        # and the scalarization psi with its rounding slack cannot overflow
-        abs_points = np.abs(self.cloud_points)
-        with np.errstate(over="ignore"):
-            mags = np.maximum.reduceat(abs_points @ np.abs(w).T, self.cloud_starts)
-            psi_bounds = fold_columns(np.maximum, mags / self.cone._unit_scores)
-        coords = np.maximum.reduceat(fold_columns(np.maximum, abs_points), self.cloud_starts)
-        half = np.finfo(float).max / 2
-        large = np.maximum(np.maximum(fold_columns(np.maximum, mags), coords), psi_bounds) > half
-        if large.any():
-            raise ProblemValidationError(
-                f"map value at grid point {self.grid.points[np.argmax(large)].tolist()} is too "
-                f"large: coordinates, generator scores and generator scores over <w, q> "
-                f"must not exceed {half:g}")
-        self.cloud_magnitudes = mags
-        self.cloud_psi_bounds = psi_bounds
-        self.cloud_scores = self.cloud_points @ w.T
+        self.cloud_magnitudes, self.cloud_psi_bounds = _magnitudes(
+            self.cone, self.cloud_points, self.cloud_starts, self.grid.points, "grid point")
+        self.cloud_scores = self.cloud_points @ self.cone.dual_generators.T
 
-    @functools.cached_property
-    def clouds(self) -> list[PointCloudSet]:
-        """The stored clouds in grid order, as views of `cloud_points`."""
-        return [PointCloudSet(p) for p in np.split(self.cloud_points, self.cloud_starts[1:])]
+    def cloud(self, i: int) -> np.ndarray:
+        """The points of the cloud at grid index i, a view of `cloud_points`."""
+        starts = self.cloud_starts
+        return self.cloud_points[starts[i]: starts[i + 1] if i + 1 < len(starts) else None]
 
 
 def evaluate(problem: SetValuedProblem, x) -> PointCloudSet:
-    """The stored cloud of a grid point x, sliced from the store."""
-    i, starts = problem.grid.locate(x), problem.cloud_starts
-    stop = starts[i + 1] if i + 1 < len(starts) else len(problem.cloud_points)
-    return PointCloudSet(problem.cloud_points[starts[i]:stop])
+    """The stored cloud of a grid point x."""
+    return PointCloudSet(problem.cloud(problem.grid.locate(x)))
 
 
 def evaluate_at(problem: SetValuedProblem, x) -> PointCloudSet:

@@ -6,14 +6,15 @@ clouds are finite.  Colevel sets are computed along two independent
 routes, via the order relation and via the scalar field, and the two
 must agree.
 
-On the grid both routes reduce the problem's stored clouds per cloud.
-Off the grid (analytic kinds only) `scalar_values_at` takes a whole batch
-of points.  It keeps the value, a float and never the cloud, of every
-point it has evaluated, keyed by the point's float64 bytes, so the map is
-evaluated at most once per point and problem.  The points the memo
-misses are evaluated together, in one batch call to the map; each
-cloud's scores come from one matrix product of that cloud's own shape,
-so a value has the same bits in any batch.
+On the grid both routes reduce the problem's stored generator scores
+per cloud.  Off the grid (analytic kinds only) `scalar_values_at` takes
+a whole batch of points.  It keeps the value, a float and never the
+cloud, of every point it has evaluated, keyed by the point's float64
+bytes, so the map is evaluated at most once per point and problem.  The
+points the memo misses are evaluated together, in one batch call to the
+map, held to the store's magnitude bounds; each cloud's scores come from
+one matrix product of that cloud's own shape, so a value has the same
+bits in any batch.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import cone as _cone
 from .errors import InternalConsistencyError, ProblemValidationError
-from .problem import MAX_CLOUD_POINTS, SetValuedProblem, first_failure
+from .problem import MAX_CLOUD_POINTS, SetValuedProblem, _magnitudes, _runs, first_failure
 from .setrel import PointCloudSet, strictly_lower_less
 
 __all__ = [
@@ -52,8 +53,9 @@ def scalar_field(problem: SetValuedProblem) -> ScalarField:
     cached = problem._cache.get("scalar_field")
     if cached is not None:
         return cached
-    values = np.minimum.reduceat(_cone.gerstewitz_many(problem.cone, problem.cloud_points),
-                                 problem.cloud_starts)
+    # gerstewitz_many's bits over the store: the same product, the same ratios
+    ratios = _cone.fold_columns(np.minimum, problem.cloud_scores / problem.cone._unit_scores)
+    values = np.minimum.reduceat(ratios, problem.cloud_starts)
     field = ScalarField(values=values, inf_value=float(values.min()))
     problem._cache["scalar_field"] = field
     return field
@@ -98,21 +100,20 @@ def scalar_values_at(problem: SetValuedProblem, X) -> np.ndarray:
 def _cloud_minima(problem: SetValuedProblem, X: np.ndarray) -> np.ndarray:
     """The least Gerstewitz value over the cloud at each row of X.
 
-    Clouds of one size are scored by one stacked product, a product per
-    cloud: a flat product over all rows would take another BLAS kernel
-    for one-point clouds and round them differently.  When every cloud
-    has the same size, the stack is the points reshaped.
+    The clouds are held to the store's magnitude bounds first.  Clouds of
+    one size are scored by one stacked product, a product per cloud: a
+    flat product over all rows would take another BLAS kernel for
+    one-point clouds and round them differently.
     """
     points, starts = problem.map_model.clouds_at(X)
+    _magnitudes(problem.cone, points, starts, X, "point")
     sizes = np.diff(starts, append=len(points))
-    if len(X) and (sizes == sizes[0]).all():
-        stack = points.reshape(len(X), sizes[0], -1)
-        return _cone.gerstewitz_many(problem.cone, stack).min(axis=1)
     values = np.empty(len(X))
     for size in np.unique(sizes):
         rows = np.flatnonzero(sizes == size)
-        stack = points[starts[rows, None] + np.arange(size)]
-        values[rows] = _cone.gerstewitz_many(problem.cone, stack).min(axis=1)
+        run = slice(None) if len(rows) == len(X) else _runs(starts[rows], sizes[rows])[0]
+        scores = _cone.gerstewitz_many(problem.cone, points[run].reshape(len(rows), size, -1))
+        values[rows] = scores.min(axis=1)
     return values
 
 
@@ -161,5 +162,5 @@ def colevel_points(problem: SetValuedProblem, lam: float) -> np.ndarray:
 
 def colevel_at_set(problem: SetValuedProblem, cloud: PointCloudSet) -> np.ndarray:
     """Sorted grid indices x where the given set does not strictly dominate F(x)."""
-    return np.flatnonzero([not strictly_lower_less(cloud, image, problem.cone)
-                           for image in problem.clouds])
+    images = (PointCloudSet(problem.cloud(i)) for i in range(len(problem.grid)))
+    return np.flatnonzero([not strictly_lower_less(cloud, b, problem.cone) for b in images])

@@ -77,31 +77,27 @@ time is one kernel call per block over the live windows.
 
 `domination_matrix` builds D itself, N x N, one row at a time with the
 same kernel.  It is the oracle the tests compare the sweep against;
-nothing in the production path calls it.  No threads are used.
+nothing in the production path calls it.  It stays here, public, because
+the benchmark's layer figures read its traced span by the name
+`solver.domination_matrix`.  No threads are used.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import setrel
 from .errors import InternalConsistencyError
-from .problem import SetValuedProblem
+from .problem import SetValuedProblem, _runs, _starts
 from .scalarizer import scalar_field
 
 # The most point pairs one step compares at once: a sweep block's rows
 # (k <= 2) or row points (k >= 3) times its column points, and the pairs
 # of one chunk of the k >= 3 cut.
 _BLOCK_PAIRS = 4096
-
-
-def _runs(starts: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The indices of the runs starts[c], ..., starts[c] + sizes[c] - 1 laid end
-    to end, and where each run begins in them."""
-    offsets = np.cumsum(sizes) - sizes
-    return np.arange(int(sizes.sum())) + np.repeat(starts - offsets, sizes), offsets
 
 
 class _RowTest:
@@ -125,14 +121,11 @@ class _RowTest:
     """
 
     def __init__(self, problem: SetValuedProblem):
-        cone = self.cone = problem.cone
-        tol = cone.cone_tol
-        # cloud i is cloud_points[bounds[i]: bounds[i + 1]], sliced only for `covers`
-        self.cloud_points = problem.cloud_points
-        self.bounds = np.append(problem.cloud_starts, len(problem.cloud_points))
-        n = len(problem.grid)
-        owner = np.repeat(np.arange(n), np.diff(self.bounds))
+        self.problem = weakref.proxy(problem)  # weak: the problem's cache holds this test
+        cone, tol = problem.cone, problem.cone.cone_tol
         scores, mags = problem.cloud_scores, problem.cloud_magnitudes  # (R, k), (N, k)
+        n = len(mags)
+        owner = np.repeat(np.arange(n), np.diff(problem.cloud_starts, append=len(scores)))
         self.staircase = scores.shape[1] <= 2
         if scores.shape[1] == 1:
             scores = np.repeat(scores, 2, axis=1)
@@ -143,7 +136,7 @@ class _RowTest:
         keep = (_staircase_points if self.staircase else _skyline_points)(scores, owner)
         scores, owner = scores.take(keep, axis=0), owner[keep]  # take: a fast row gather
         sizes = np.bincount(owner, minlength=n)
-        starts = np.cumsum(sizes) - sizes
+        starts = _starts(sizes)
         if self.staircase:
             # cloud i's staircase: first score ascending, second strictly
             # descending, and in `second` preceded by +inf for "no point of A
@@ -189,13 +182,9 @@ class _RowTest:
         return strict
 
     def covers(self, i: int, j: int) -> bool:
-        """D[i, j] by the pairwise oracle `setrel.covers`, on two slices of the store."""
-        a, b = (self.cloud_points[self.bounds[k]: self.bounds[k + 1]] for k in (i, j))
-        return setrel.covers(a, b, self.cone, strict=True)
-
-    def __call__(self, i: int, cols: np.ndarray) -> np.ndarray:
-        """D[i, cols] for a nonempty array of column indices."""
-        return self.block(np.array([i]), cols)[0]
+        """D[i, j] by the pairwise oracle `setrel.covers`, on two views of the store."""
+        problem = self.problem
+        return setrel.covers(problem.cloud(i), problem.cloud(j), problem.cone, strict=True)
 
 
 def _row_test(problem: SetValuedProblem) -> _RowTest:
@@ -208,7 +197,7 @@ def _row_test(problem: SetValuedProblem) -> _RowTest:
 
 def domination_row(problem: SetValuedProblem, i: int) -> np.ndarray:
     """Row i of D, F(x_i) <l F(x_j) for every j, without building D."""
-    return _row_test(problem)(i, np.arange(len(problem.grid)))
+    return _row_test(problem).block(np.array([i]), np.arange(len(problem.grid)))[0]
 
 
 def domination_matrix(problem: SetValuedProblem) -> np.ndarray:
@@ -221,11 +210,10 @@ def domination_matrix(problem: SetValuedProblem) -> np.ndarray:
     cached = problem._cache.get("domination_matrix")
     if cached is not None:
         return cached
-    test = _row_test(problem)
     n = len(problem.grid)
     d = np.empty((n, n), dtype=bool)
     for i in range(n):
-        d[i] = test(i, np.arange(n))
+        d[i] = domination_row(problem, i)
     problem._cache["domination_matrix"] = d
     return d
 

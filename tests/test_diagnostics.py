@@ -4,7 +4,7 @@ import zlib
 import numpy as np
 import pytest
 
-from setopt import (ConeSpec, DomainGrid, MapModel,
+from setopt import (ConeSpec, DomainGrid, MapModel, PointCloudSet,
                     ProblemValidationError, SetValuedProblem, check_asymptotic_gap,
                     check_attainment, check_coercivity, check_colevel_compact_at,
                     check_regular_global_inf, check_transfer_closed, existence_report)
@@ -369,7 +369,7 @@ def test_colevel_at_set_is_a_row_of_the_domination_matrix(name):
                                          else {}))
     d = domination_matrix(prob)
     for i in np.unique(np.linspace(0, len(prob.grid) - 1, 6).astype(int)):
-        np.testing.assert_array_equal(colevel_at_set(prob, prob.clouds[i]),
+        np.testing.assert_array_equal(colevel_at_set(prob, PointCloudSet(prob.cloud(i))),
                                       np.flatnonzero(~d[i]))
 
 

@@ -173,12 +173,10 @@ def test_each_grid_cloud_is_evaluated_once(name, monkeypatch):
 
     solve(prob)
     check_colevel_compact_at(prob, prob.grid.points[0])
-    assert "clouds" not in vars(prob)  # the solve path reads the store, not a per-cloud list
     field = scalar_field(prob)
     colevel(prob, global_inf(prob) + 0.5 * (field.values.max() - global_inf(prob)))
     for x in prob.grid.points:
         evaluate(prob, x)
-    assert "clouds" not in vars(prob)  # evaluate slices its cloud from the store
     colevel_at_set(prob, evaluate(prob, prob.grid.points[0]))
     assert len(batches) == 1
 
@@ -218,14 +216,15 @@ def test_table_map_matches_points_within_region_tol():
 
 def test_store_is_the_evaluated_clouds(shifted72):
     starts = shifted72.cloud_starts
-    assert len(starts) == len(shifted72.clouds) == len(shifted72.grid)
+    assert len(starts) == len(shifted72.grid)
     for i, x in enumerate(shifted72.grid.points):
-        cloud = shifted72.clouds[i]
-        np.testing.assert_array_equal(evaluate(shifted72, x).points, cloud.points)
-        np.testing.assert_array_equal(shifted72.map_model.cloud_at(x).points, cloud.points)
-        np.testing.assert_array_equal(
-            shifted72.cloud_points[starts[i]: starts[i] + len(cloud)], cloud.points)
-    assert starts[-1] + len(shifted72.clouds[-1]) == len(shifted72.cloud_points)
+        cloud = shifted72.cloud(i)
+        assert np.shares_memory(cloud, shifted72.cloud_points)  # a view of the store
+        np.testing.assert_array_equal(evaluate(shifted72, x).points, cloud)
+        np.testing.assert_array_equal(shifted72.map_model.cloud_at(x).points, cloud)
+        np.testing.assert_array_equal(shifted72.cloud_points[starts[i]: starts[i] + len(cloud)],
+                                      cloud)
+    assert starts[-1] + len(shifted72.cloud(len(starts) - 1)) == len(shifted72.cloud_points)
 
 
 def _with_map(name, kind, parameters):
@@ -306,6 +305,16 @@ _BATCH_MAPS = {
             {"where": {"type": "interval", "lo": 0.0, "lo_strict": True, "hi": 2.0},
              "cloud": {"points": [[0.0, 1.0], [0.6, 0.3], [1.1, -0.4]], "sampling_note": "three"}},
             {"cloud": {"type": "affine_point", "matrix": [[0.3], [1.1]], "offset": [0.0, 0.0]}}]}}),
+    # clouds of 2, 4, 1 and 3 points, so a batch mixes sizes
+    "piecewise_sizes": (_SKEW, [[-1.0], [0.5], [1.0], [3.0]], [[0.0], [0.5], [2.0]], {
+        "kind": "piecewise", "parameters": {"regions": [
+            {"where": {"type": "eq", "point": [0.5]},
+             "cloud": {"points": [[0.5, 0.5], [1.0, -1.0]]}},
+            {"where": {"type": "interval", "hi": 0.0},
+             "cloud": {"points": [[0.0, 1.0], [0.6, 0.3], [1.1, -0.4], [-0.2, 2.0]]}},
+            {"where": {"type": "interval", "lo": 0.0, "lo_strict": True, "hi": 2.0},
+             "cloud": {"type": "affine_point", "matrix": [[1.0], [-0.7]], "offset": [0.1, 1.0]}},
+            {"cloud": {"points": [[3.0, 0.0], [0.0, 3.0], [1.2, 1.2]]}}]}}),
     "piecewise_2d": (_SKEW, [[0.0, 0.0]], [[1.0, 1.0], [0.0, 0.0]], {
         "kind": "piecewise", "parameters": {"regions": [
             {"where": {"type": "eq", "point": [1.0, 1.0]}, "cloud": {"points": [[2.0, 2.0]]}},

@@ -3,9 +3,28 @@ import pytest
 
 from setopt import (ConeSpec, PointCloudSet, SetValuedProblem, colevel, colevel_at_set, colevel_points, contains,
                     evaluate, global_inf, scalar_field, scalar_value, strictly_lower_less)
+from setopt import fixtures as fixture_catalog
+from setopt.cone import gerstewitz_many
 from setopt.sampling import random_problem
 
 from conftest import constant_problem, coords_1d
+
+
+def _per_cloud_minima(prob):
+    return np.array([gerstewitz_many(prob.cone, prob.cloud(i)).min()
+                     for i in range(len(prob.grid))])
+
+
+@pytest.mark.parametrize("name", sorted(fixture_catalog.FIXTURES))
+def test_scalar_field_has_the_bits_of_each_clouds_gerstewitz_minimum(name):
+    prob = fixture_catalog.build(name)
+    assert scalar_field(prob).values.tobytes() == _per_cloud_minima(prob).tobytes()
+
+
+def test_scalar_field_of_random_problems_has_the_bits_of_each_clouds_minimum():
+    for seed in range(50):
+        prob = random_problem(np.random.default_rng(seed))
+        assert scalar_field(prob).values.tobytes() == _per_cloud_minima(prob).tobytes(), seed
 
 
 def test_scalar_values_tradeoff(tradeoff):

@@ -1,6 +1,7 @@
 import copy
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setopt import (ConeSpec, DomainGrid, MapModel, ProblemValidationError, SetValuedProblem,
-                    argmin_scalarized, build_problem, fixtures, scalar_field, setrel, solve,
-                    solver, strictly_lower_less, to_document)
+                    argmin_scalarized, build_problem, fixtures, scalar_field, scalar_value_at,
+                    setrel, solve, solver, strictly_lower_less, to_document)
 from setopt.cli import main
 from setopt.sampling import random_cone, random_problem
 from setopt.solver import domination_matrix, efficient_sets
@@ -246,6 +247,37 @@ def test_clouds_that_can_overflow_are_rejected_at_build(capsys, tmp_path):
     assert "[0.0]" in err
 
 
+def test_off_grid_clouds_that_can_overflow_are_rejected(capsys, tmp_path):
+    # 0.46875 is no grid point, but the rgi and transfer refinements probe it;
+    # |w| . |p| of its cloud overflows under the first generator
+    doc = {"schema_version": "1", "cone": {"dual_generators": [[2, 2], [1, 0]], "q": [1, 0.1]},
+           "domain": {"box": [[-1, 1]], "resolution": [5]},
+           "map": {"kind": "piecewise", "parameters": {"regions": [
+               {"where": {"type": "eq", "point": [0.46875]},
+                "cloud": {"points": [[1e308, -1e308]]}},
+               {"where": {"type": "interval", "lo": -0.1, "hi": 0.1},
+                "cloud": {"points": [[-1, -1]]}},
+               {"where": {"type": "always"}, "cloud": {"points": [[0, 0]]}}]}}}
+    with pytest.raises(ProblemValidationError, match=r"map value at point \[0.46875\] is too"):
+        scalar_value_at(build_problem(doc), [0.46875])
+    path = tmp_path / "off_grid_overflow.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path), "--all", "--transfer", "--rgi"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: map value at point [0.46875] is too large")
+
+
+def test_a_solved_problem_is_freed_with_its_last_reference():
+    # the row test lives in the problem's cache; it must not keep the problem,
+    # and with it the store, alive until the cyclic collector runs
+    prob = fixtures.build("tradeoff_segment")
+    solve(prob)
+    domination_matrix(prob)
+    freed = weakref.ref(prob)
+    del prob
+    assert freed() is None
+
+
 def test_sweep_window_absorbs_the_rounding_of_psi():
     # b - a = (1.2e-12, 0) is strictly inside the wedge, yet psi = a1 - a2
     # rounds at magnitude 16000, so the computed psi does not rise at all
@@ -274,7 +306,7 @@ def test_sweep_reads_any_relation_the_psi_bound_allows(monkeypatch):
     for _ in range(300):
         n = int(rng.integers(1, 10))
         prob = table_problem([[[1e6 + k, 1e6]] for k in range(n)], ConeSpec.orthant(2))
-        index = {c.points.tobytes(): k for k, c in enumerate(prob.clouds)}
+        index = {prob.cloud(k).tobytes(): k for k in range(n)}
         monkeypatch.setattr(setrel, "covers", lambda a, b, cone, strict:
                             bool(relation[index[a.tobytes()], index[b.tobytes()]]))
         relation = rng.random((n, n)) < rng.uniform(0.05, 0.7)
@@ -357,7 +389,7 @@ def test_k3_and_k4_domination_matrix_matches_pairwise_covers():
     for cone in (ConeSpec.orthant(3), ConeSpec.orthant(4), pyramid):
         for seed in range(20):
             prob = table_problem(lattice_clouds(np.random.default_rng(seed), cone, 12), cone)
-            clouds = [c.points for c in prob.clouds]
+            clouds = [prob.cloud(i) for i in range(len(prob.grid))]
             want = np.array([[setrel.covers(a, b, cone, strict=True) for b in clouds]
                              for a in clouds])
             np.testing.assert_array_equal(domination_matrix(prob), want)

@@ -21,9 +21,8 @@ from .errors import (DimensionMismatchError, InternalConsistencyError,
                      ProblemValidationError, SetOptError)
 from .problem import (DomainGrid, Flags, MapModel, SetValuedProblem, Tolerances,
                       build_problem, evaluate, evaluate_at, to_document)
-from .scalarizer import (ScalarField, colevel, colevel_at_set, colevel_points,
-                         global_inf, scalar_field, scalar_value, scalar_value_at,
-                         scalar_values_at)
+from .scalarizer import (ScalarField, colevel, colevel_points, global_inf, scalar_field,
+                         scalar_value, scalar_value_at, scalar_values_at)
 from .setrel import PointCloudSet, equivalent_l, lower_less, strictly_lower_less
 from .solver import SolveReport, argmin_scalarized, efficient_sets, solve
 
@@ -37,7 +36,7 @@ __all__ = [
     "argmin_scalarized", "asymptotic_cone_estimate", "asymptotic_value", "build_problem",
     "check_asymptotic_gap", "check_attainment", "check_coercivity",
     "check_colevel_compact_at", "check_regular_global_inf", "check_transfer_closed",
-    "colevel", "colevel_at_set", "colevel_points", "compass_directions", "contains",
+    "colevel", "colevel_points", "compass_directions", "contains",
     "contains_interior", "default_lambda_schedule", "efficient_sets", "equivalent_l",
     "evaluate", "evaluate_at", "existence_report", "far_colevel_sample", "gerstewitz",
     "gerstewitz_bisect", "gerstewitz_many", "global_inf", "horizon_outer_limit",

@@ -49,8 +49,8 @@ class RaySchedule:
         ts = np.asarray(self.t_values, dtype=float).reshape(-1)
         if np.linalg.norm(u) == 0.0:
             raise ProblemValidationError("ray direction must be nonzero")
-        if len(ts) < 4 or np.any(np.diff(ts) <= 0.0) or np.any(ts <= 0.0):
-            raise ProblemValidationError("t_values must be positive and strictly increasing")
+        if len(ts) < 4 or not (ts[0] > 0.0 and (np.diff(ts) > 0.0).all() and ts[-1] < np.inf):
+            raise ProblemValidationError("t_values must be finite, positive, strictly increasing")
         if ts[-1] < 1e4:
             raise ProblemValidationError("t_values must reach at least 1e4")
         object.__setattr__(self, "direction", u)
@@ -268,13 +268,7 @@ def far_colevel_sample(problem: SetValuedProblem, lam: float,
     """
     tie = problem.tolerances.tie_tol
     low = problem.grid.points[scalar_field(problem).values <= lam + tie]
-    norms = np.linalg.norm(low, axis=1)
-    far = norms >= radius_threshold
-    # a row's norm may round differently from the norm of that point alone,
-    # so points within rounding of the threshold are measured alone
-    near = np.flatnonzero(np.abs(norms - radius_threshold) <= 1e-12 * radius_threshold)
-    far[near] = [np.linalg.norm(x) >= radius_threshold for x in low[near]]
-    pts = list(low[far])
+    pts = list(low[np.linalg.norm(low, axis=1) >= radius_threshold])
     if problem.map_model.is_analytic:
         ts = np.geomspace(radius_threshold, max(DEFAULT_T_MAX, radius_threshold * 10.0),
                           FAR_T_COUNT)

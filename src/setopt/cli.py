@@ -116,6 +116,8 @@ def _cmd_colevel(args) -> int:
 
 
 def _cmd_asymptotic(args) -> int:
+    if not 0.0 < args.t_max < np.inf or args.t_count < 4:
+        raise CLIUsageError("--t-max must be finite and positive, and --t-count at least 4")
     problem = _load_problem(args.problem)
     directions = [_parse_vector(d) for d in args.direction] if args.direction else None
     gap = check_asymptotic_gap(problem, directions=directions,
@@ -161,6 +163,8 @@ def _cmd_check(args) -> int:
 def _cmd_oracle(args) -> int:
     if args.mode != "random":
         raise CLIUsageError(f"unknown oracle mode {args.mode!r}")
+    if args.count < 0:
+        raise CLIUsageError(f"--count must not be negative, got {args.count}")
     rng = np.random.default_rng(args.seed)
     max_dev = 0.0
     for _ in range(args.count):

@@ -18,6 +18,8 @@ independent cross-check of the closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -61,8 +63,8 @@ class ConeSpec:
         if not 0.0 < self.cone_tol < np.inf:
             raise ProblemValidationError(
                 f"cone_tol must be finite and positive, got {self.cone_tol!r}")
-        with np.errstate(over="ignore"):
-            unit_scores = w @ q
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf: NaN, rejected below
+            unit_scores = linear_forms(q, w)
         if np.any(unit_scores <= self.cone_tol):
             raise ProblemValidationError("order unit not interior")
         if not np.isfinite(unit_scores).all():
@@ -97,20 +99,39 @@ def _as_vector(cone: ConeSpec, y) -> np.ndarray:
 
 def contains(cone: ConeSpec, y) -> bool:
     """Membership y in P, with absolute tolerance cone_tol per generator."""
-    y = _as_vector(cone, y)
-    return bool(np.all(cone.dual_generators @ y >= -cone.cone_tol))
+    return bool(np.all(linear_forms(_as_vector(cone, y), cone.dual_generators) >= -cone.cone_tol))
 
 
 def contains_interior(cone: ConeSpec, y) -> bool:
     """Strict membership y in int P."""
-    y = _as_vector(cone, y)
-    return bool(np.all(cone.dual_generators @ y > cone.cone_tol))
+    return bool(np.all(linear_forms(_as_vector(cone, y), cone.dual_generators) > cone.cone_tol))
 
 
 def gerstewitz(cone: ConeSpec, y) -> float:
     """Closed form of sup{t : y in t*q + P}."""
-    y = _as_vector(cone, y)
-    return float(np.min((cone.dual_generators @ y) / cone._unit_scores))
+    scores = linear_forms(_as_vector(cone, y), cone.dual_generators)
+    return float(np.min(scores / cone._unit_scores))
+
+
+def linear_forms(points, W: np.ndarray) -> np.ndarray:
+    """<w_j, p> for each row w_j of the (k, m) W and each p along the last axis of points.
+
+    The package's one scoring route: ((0 + p_0 w_0) + p_1 w_1) + ..., each step
+    rounded on its own, so no bit depends on the BLAS or the batch shape and no
+    form is -0.0; its error is that of recursive summation (Higham 2002, 3.1).
+    """
+    points, rows = np.asarray(points, dtype=float), np.asarray(W, dtype=float).tolist()
+    if points.ndim == 1:  # one point: the same fold on Python floats, without numpy's call costs
+        return np.array([reduce(add, map(mul, points.tolist(), w), 0.0) for w in rows])
+    flat = points.reshape(-1, points.shape[-1])
+    forms, term = np.empty((len(flat), len(rows))), np.empty(len(flat))
+    for total, w in zip(forms.T, rows):  # one column per form
+        np.multiply(flat[:, 0], w[0], out=total)
+        total += 0.0  # the fold starts from +0.0, so -0.0 products leave +0.0
+        for c in range(1, len(w)):
+            np.multiply(flat[:, c], w[c], out=term)
+            total += term
+    return forms.reshape(*points.shape[:-1], len(rows))
 
 
 def fold_columns(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
@@ -140,9 +161,7 @@ def gerstewitz_many(cone: ConeSpec, ys: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"points have dimension {ys.shape[-1]}, cone expects {cone.dim_image}"
         )
-    ratios = ys @ cone.dual_generators.T
-    ratios /= cone._unit_scores
-    return fold_columns(np.minimum, ratios)
+    return fold_columns(np.minimum, linear_forms(ys, cone.dual_generators) / cone._unit_scores)
 
 
 def gerstewitz_bisect(cone: ConeSpec, y, tol: float = 1e-10, max_doublings: int = 200) -> float:

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cone import DEFAULT_CONE_TOL, ConeSpec, fold_columns
+from .cone import DEFAULT_CONE_TOL, ConeSpec, fold_columns, linear_forms
 from .errors import DimensionMismatchError, ProblemValidationError, SetOptError
 from .setrel import PointCloudSet
 
@@ -168,7 +168,7 @@ class DomainGrid:
             )
         dists = np.max(np.abs(self.points - x), axis=1)
         idx = int(np.argmin(dists))
-        if dists[idx] > atol:
+        if not dists[idx] <= atol:  # a NaN coordinate matches no grid point
             raise ProblemValidationError(f"x not in grid: {x.tolist()}")
         return idx
 
@@ -454,9 +454,7 @@ def _read_cloud_spec(spec, path: str, notes: list):
         if X.shape[1] != matrix.shape[1]:
             raise ProblemValidationError(f"{path}.matrix has {matrix.shape[1]} columns, but "
                                          f"domain points have dimension {X.shape[1]}")
-        # one matrix-vector product per row, as for a single point; a flat
-        # product over the batch would round some rows differently
-        return (matrix @ X[:, :, None])[:, :, 0] + offset
+        return linear_forms(X, matrix) + offset
     return affine_point, 1, len(offset)
 
 
@@ -739,7 +737,7 @@ def _magnitudes(cone: ConeSpec, points: np.ndarray, starts: np.ndarray, X: np.nd
     """
     abs_points = np.abs(points)
     with np.errstate(over="ignore"):
-        mags = np.maximum.reduceat(abs_points @ np.abs(cone.dual_generators).T, starts)
+        mags = np.maximum.reduceat(linear_forms(abs_points, np.abs(cone.dual_generators)), starts)
         psi_bounds = fold_columns(np.maximum, mags / cone._unit_scores)
     coords = fold_columns(np.maximum, np.maximum.reduceat(abs_points, starts))
     half = np.finfo(float).max / 2
@@ -788,7 +786,7 @@ class SetValuedProblem:
                 f"map image dimension {dim} does not match cone dimension {cone_dim}")
         self.cloud_magnitudes, self.cloud_psi_bounds = _magnitudes(
             self.cone, self.cloud_points, self.cloud_starts, self.grid.points, "grid point")
-        self.cloud_scores = self.cloud_points @ self.cone.dual_generators.T
+        self.cloud_scores = linear_forms(self.cloud_points, self.cone.dual_generators)
 
     def cloud(self, i: int) -> np.ndarray:
         """The points of the cloud at grid index i, a view of `cloud_points`."""

@@ -6,15 +6,11 @@ clouds are finite.  Colevel sets are computed along two independent
 routes, via the order relation and via the scalar field, and the two
 must agree.
 
-On the grid both routes reduce the problem's stored generator scores
-per cloud.  Off the grid (analytic kinds only) `scalar_values_at` takes
-a whole batch of points.  It keeps the value, a float and never the
-cloud, of every point it has evaluated, keyed by the point's float64
-bytes, so the map is evaluated at most once per point and problem.  The
-points the memo misses are evaluated together, in one batch call to the
-map, held to the store's magnitude bounds; each cloud's scores come from
-one matrix product of that cloud's own shape, so a value has the same
-bits in any batch.
+One reduction, `_least_ratios`, gives psi per cloud from the store's scores on
+the grid and from fresh `cone.linear_forms` scores off it (analytic kinds only),
+so a value has the same bits in any batch.  `scalar_values_at` keeps the value
+of each point it evaluates (a float, never the cloud, keyed by its float64
+bytes) and sends the points it misses to the map in one batch call.
 """
 
 from __future__ import annotations
@@ -25,20 +21,11 @@ import numpy as np
 
 from . import cone as _cone
 from .errors import InternalConsistencyError, ProblemValidationError
-from .problem import MAX_CLOUD_POINTS, SetValuedProblem, _magnitudes, _runs, first_failure
-from .setrel import PointCloudSet, strictly_lower_less
+from .problem import MAX_CLOUD_POINTS, SetValuedProblem, _magnitudes, first_failure
 
-__all__ = [
-    "ScalarField",
-    "scalar_field",
-    "scalar_value",
-    "scalar_value_at",
-    "scalar_values_at",
-    "global_inf",
-    "colevel",
-    "colevel_points",
-    "colevel_at_set",
-]
+__all__ = ["ScalarField", "scalar_field", "scalar_value", "scalar_value_at", "scalar_values_at",
+           "global_inf", "colevel", "colevel_points"]
+
 
 @dataclass(frozen=True)
 class ScalarField:
@@ -53,9 +40,7 @@ def scalar_field(problem: SetValuedProblem) -> ScalarField:
     cached = problem._cache.get("scalar_field")
     if cached is not None:
         return cached
-    # gerstewitz_many's bits over the store: the same product, the same ratios
-    ratios = _cone.fold_columns(np.minimum, problem.cloud_scores / problem.cone._unit_scores)
-    values = np.minimum.reduceat(ratios, problem.cloud_starts)
+    values = _least_ratios(problem.cone, problem.cloud_scores, problem.cloud_starts)
     field = ScalarField(values=values, inf_value=float(values.min()))
     problem._cache["scalar_field"] = field
     return field
@@ -97,24 +82,17 @@ def scalar_values_at(problem: SetValuedProblem, X) -> np.ndarray:
     return np.array([memo[key] for key in keys])
 
 
-def _cloud_minima(problem: SetValuedProblem, X: np.ndarray) -> np.ndarray:
-    """The least Gerstewitz value over the cloud at each row of X.
+def _least_ratios(cone: _cone.ConeSpec, scores: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per cloud of a stack, the least score ratio <w, p> / <w, q>: its psi value."""
+    return np.minimum.reduceat(_cone.fold_columns(np.minimum, scores / cone._unit_scores), starts)
 
-    The clouds are held to the store's magnitude bounds first.  Clouds of
-    one size are scored by one stacked product, a product per cloud: a
-    flat product over all rows would take another BLAS kernel for
-    one-point clouds and round them differently.
-    """
+
+def _cloud_minima(problem: SetValuedProblem, X: np.ndarray) -> np.ndarray:
+    """psi at each row of X, from its cloud held to the store's magnitude bounds."""
     points, starts = problem.map_model.clouds_at(X)
     _magnitudes(problem.cone, points, starts, X, "point")
-    sizes = np.diff(starts, append=len(points))
-    values = np.empty(len(X))
-    for size in np.unique(sizes):
-        rows = np.flatnonzero(sizes == size)
-        run = slice(None) if len(rows) == len(X) else _runs(starts[rows], sizes[rows])[0]
-        scores = _cone.gerstewitz_many(problem.cone, points[run].reshape(len(rows), size, -1))
-        values[rows] = scores.min(axis=1)
-    return values
+    scores = _cone.linear_forms(points, problem.cone.dual_generators)
+    return _least_ratios(problem.cone, scores, starts)
 
 
 def global_inf(problem: SetValuedProblem) -> float:
@@ -127,20 +105,24 @@ def colevel(problem: SetValuedProblem, lam: float) -> np.ndarray:
 
     Route one follows the definition: x survives iff the singleton
     {lam * q} does not strictly dominate F(x), i.e. unless every b in F(x)
-    has <w, b> - <w, lam * q> > cone_tol for every dual generator w; it
+    has <w, b> - lam <w, q> > cone_tol for every dual generator w; it
     tests the relation generator by generator, never the value of the
     scalarization.  Route two thresholds the scalar field at lam.  Route
     two is returned.  The routes may differ where psi lies within the tie
     band of lam or up to tau = cone_tol / min_w <w, q> above it, since the
     relation drops x only when psi(F(x)) - lam exceeds cone_tol / <w, q>
-    for every w; a disagreement outside that band raises.
+    for every w; a disagreement outside that band raises.  lam must be
+    finite; an overflowing lam <w, q> is compared as an infinity.
     """
+    if not np.isfinite(lam):
+        raise ProblemValidationError(f"lambda must be finite, got {lam}")
     field = scalar_field(problem)
     tie = problem.tolerances.tie_tol
     by_field = field.values <= lam + tie
 
     cone = problem.cone
-    probe = (lam * cone.order_unit) @ cone.dual_generators.T
+    with np.errstate(over="ignore"):
+        probe = lam * cone._unit_scores
     above = _cone.fold_columns(np.logical_and, problem.cloud_scores - probe > cone.cone_tol)
     by_relation = ~np.logical_and.reduceat(above, problem.cloud_starts)
 
@@ -158,9 +140,3 @@ def colevel(problem: SetValuedProblem, lam: float) -> np.ndarray:
 def colevel_points(problem: SetValuedProblem, lam: float) -> np.ndarray:
     """Grid points of the colevel set at height lam * q."""
     return problem.grid.points[colevel(problem, lam)]
-
-
-def colevel_at_set(problem: SetValuedProblem, cloud: PointCloudSet) -> np.ndarray:
-    """Sorted grid indices x where the given set does not strictly dominate F(x)."""
-    images = (PointCloudSet(problem.cloud(i)) for i in range(len(problem.grid)))
-    return np.flatnonzero([not strictly_lower_less(cloud, b, problem.cone) for b in images])

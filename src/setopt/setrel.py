@@ -56,7 +56,8 @@ def _check_dims(a: PointCloudSet, b: PointCloudSet, cone: ConeSpec) -> None:
 
 
 def covers(a_points: np.ndarray, b_points: np.ndarray, cone: ConeSpec, strict: bool) -> bool:
-    """True iff every b has a witness a with b - a in P (int P when strict)."""
+    """True iff every b has a witness a with b - a in P (int P when strict), scored
+    by a matrix product the BLAS may fuse; `solver._RowTest`'s band bounds either form."""
     diff = b_points[:, None, :] - a_points[None, :, :]
     scores = diff @ cone.dual_generators.T  # (pb, pa, k)
     if strict:

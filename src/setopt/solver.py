@@ -9,7 +9,7 @@ problem's stored clouds and generator scores; the map is not evaluated
 again.
 
 The row test decides a block of rows of D in score space, for any number
-k of generators.  With the scores S = P @ W.T of all R cloud points
+k of generators.  With the scores S = <w, p> of all R cloud points
 computed once, b is covered by A iff some a in A has S_a < S_b - cone_tol
 in every generator.  Only the minimal points of a cloud in score space
 matter, on either side: a b with some b' of its cloud at or below it in
@@ -21,9 +21,9 @@ minimum of the second, and one searchsorted per row decides every point
 of every column, O(R log p).  With k >= 3 the cut is a sort-filter
 skyline (Chomicki, Godfrey, Gryz & Liang, ICDE 2003), and every row point
 is compared with every column point, generator by generator.  The kernel
-compares score differences fl(S_b) - fl(S_a) where the oracle
-`setrel.covers` compares fl(<w, fl(b - a)>), so each row is decided at
-cone_tol +- band, where band bounds the gap between the two roundings.  A
+compares differences of unfused sums fl(S_b) - fl(S_a) where the oracle
+`setrel.covers` compares fl(<w, fl(b - a)>), fused or not, so each row is
+decided at cone_tol +- band, where band bounds the gap between them.  A
 pair the two passes decide alike is decided the same way by the oracle; a
 pair they split is handed to `setrel.covers`.  Every row is therefore
 exactly what the pairwise oracle gives.
@@ -103,8 +103,8 @@ _BLOCK_PAIRS = 4096
 class _RowTest:
     """D[rows, cols] by the banded score-space test, a block of rows at a time.
 
-    Scores S = P @ W.T are rounded once per point, so S_b - S_a differs
-    from the oracle's fl(<w, fl(b - a)>) by at most
+    Scores S are unfused sums rounded once per point, so S_b - S_a differs
+    from the oracle's fl(<w, fl(b - a)>), fused or not, by at most
     band = 2 (m + 2) eps (M_i + M_j + cone_tol) per generator, where M_i
     is the cloud maximum of |w| . |p| over F(x_i).  The threshold
     arithmetic is inside that bound, which keeps a factor of two spare.

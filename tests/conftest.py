@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from setopt import ConeSpec, DomainGrid, MapModel, SetValuedProblem
+from setopt import ConeSpec, DomainGrid, MapModel, PointCloudSet, SetValuedProblem, \
+    strictly_lower_less
 from setopt import fixtures as fixture_catalog
 
 
@@ -61,3 +62,32 @@ def constant_problem(cloud, box=None, resolution=None, points=None, q=None):
 def coords_1d(problem, indices):
     """Sorted 1D coordinates for a set of grid indices."""
     return sorted(float(problem.grid.points[i, 0]) for i in indices)
+
+
+def colevel_at_set(problem, cloud):
+    """Sorted grid indices x where the given set does not strictly dominate F(x).
+
+    The pairwise route: `strictly_lower_less` on every grid cloud in turn,
+    which `solver.domination_row` must reproduce.
+    """
+    images = (PointCloudSet(problem.cloud(i)) for i in range(len(problem.grid)))
+    return np.flatnonzero([not strictly_lower_less(cloud, b, problem.cone) for b in images])
+
+
+def unfused_forms(points, W) -> np.ndarray:
+    """<w, p> for every row p of points and w of W, in plain Python floats.
+
+    Each is ((0.0 + p_0 w_0) + p_1 w_1) + ..., every multiply and add
+    rounded on its own: the reference that `cone.linear_forms` must match
+    bit for bit, independent of numpy and the BLAS.
+    """
+    rows = []
+    for p in np.asarray(points, dtype=float).tolist():
+        row = []
+        for w in np.asarray(W, dtype=float).tolist():
+            total = 0.0
+            for x, c in zip(p, w):
+                total = total + x * c
+            row.append(total)
+        rows.append(row)
+    return np.array(rows).reshape(len(rows), len(W))

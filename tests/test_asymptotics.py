@@ -16,6 +16,9 @@ def test_schedule_validation():
         RaySchedule(np.array([1.0]), np.array([1.0, 3.0, 2.0, 1e5]))
     with pytest.raises(ProblemValidationError, match="1e4"):
         RaySchedule(np.array([1.0]), np.array([1.0, 10.0, 100.0, 1000.0]))
+    for ts in ([1.0, 10.0, 1e3, np.inf], [1.0, 10.0, np.nan, 1e5], [np.nan] * 4):
+        with pytest.raises(ProblemValidationError, match="finite"):
+            RaySchedule(np.array([1.0]), np.array(ts))
 
 
 def test_cone_estimate_bounded_set_is_trivial():

@@ -141,6 +141,26 @@ def test_error_exit_codes(fixture_dir, capsys, tmp_path):
     assert code == 1 and "oracle mode" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["check", "decay_tail.json", "--compact-at", "nan"], "x not in grid: [nan]"),
+    (["colevel", "decay_tail.json", "--lambda", "nan"], "lambda must be finite"),
+    (["colevel", "decay_tail.json", "--lambda", "inf"], "lambda must be finite"),
+    (["asymptotic", "decay_tail.json", "--t-count", "-1"], "--t-count at least 4"),
+    (["asymptotic", "decay_tail.json", "--t-count", "3"], "--t-count at least 4"),
+    (["asymptotic", "decay_tail.json", "--t-max", "inf"], "--t-max must be finite"),
+    (["asymptotic", "decay_tail.json", "--t-max", "nan"], "--t-max must be finite"),
+    (["asymptotic", "decay_tail.json", "--t-max", "0"], "--t-max must be finite"),
+    (["oracle", "random", "--count", "-5"], "--count must not be negative"),
+])
+def test_non_finite_or_out_of_range_numbers_exit_1(fixture_dir, capsys, argv, message):
+    # each used to exit 0 with a report that is not JSON, or to escape as a
+    # numpy traceback; warnings are errors here, as in CI
+    argv = [str(fixture_dir / arg) if arg.endswith(".json") else arg for arg in argv]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and message in err
+
+
 def test_asymptotic_csv_holds_plain_numbers(fixture_dir, capsys, tmp_path):
     csv_path = tmp_path / "trace.csv"
     code, _, _ = _run(capsys, ["asymptotic", str(fixture_dir / "decay_tail.json"),

@@ -5,6 +5,9 @@ from hypothesis import strategies as st
 
 from setopt import (ConeSpec, DimensionMismatchError, ProblemValidationError, contains,
                     contains_interior, gerstewitz, gerstewitz_bisect, gerstewitz_many)
+from setopt.cone import linear_forms
+
+from conftest import unfused_forms
 
 ORTHANT2 = ConeSpec.orthant(2, [1.0, 1.0])
 ORTHANT3 = ConeSpec.orthant(3, [1.0, 2.0, 4.0])
@@ -63,6 +66,9 @@ def test_cone_validation():
         ConeSpec(np.array([[0.0, 0.0], [0.0, 1.0]]), np.array([1.0, 1.0]))
     with pytest.raises(ProblemValidationError):
         ConeSpec(np.eye(2), np.array([np.inf, 1.0]))
+    # 2e308 - 2e308 overflows to inf - inf, NaN, with no warning
+    with pytest.raises(ProblemValidationError, match="overflow"):
+        ConeSpec(np.array([[1e308, -1e308], [1.0, 1.0]]), np.array([2.0, 2.0]))
     for cone_tol in (np.nan, np.inf, 0.0, -1e-12):
         with pytest.raises(ProblemValidationError, match="cone_tol must be finite and positive"):
             ConeSpec(np.eye(2), np.array([1.0, 1.0]), cone_tol)
@@ -149,9 +155,9 @@ def test_gerstewitz_many_matches_scalar():
 def test_gerstewitz_many_equals_the_reduce_over_generators(k):
     # scores from a few exact values tie often, hit both signed zeros and
     # overflow to +-inf (or NaN); the generator-by-generator minimum must
-    # keep the bits of np.min over the generator axis, NaN where it has NaN
-    # (numpy's reduce picks the sign of a NaN its own way; JSON, comparisons
-    # and arithmetic never read it)
+    # keep the bits of np.min over the generator axis of the unfused score
+    # ratios, NaN where it has NaN (numpy's reduce picks the sign of a NaN
+    # its own way; JSON, comparisons and arithmetic never read it)
     rng = np.random.default_rng(k)
     values = np.array([0.0, -0.0, 1.0, -1.0, 0.5, 3.0, np.inf, -np.inf, 1e308, -1e308])
     for m in (1, 2, 3):
@@ -161,13 +167,33 @@ def test_gerstewitz_many_equals_the_reduce_over_generators(k):
             if w.sum() > 0.0:
                 rows.append(w)
         cone = ConeSpec(np.array(rows), np.full(m, 0.5))
+        units = unfused_forms([cone.order_unit], cone.dual_generators)[0].tolist()
         for shape in [(int(rng.integers(1, 400)), m), (int(rng.integers(1, 30)), 36, m)]:
             ys = rng.choice(values, size=shape)
             ys[rng.random(shape[:-1]) < 0.3] = rng.normal(size=m)
+            ratios = [[s / u for s, u in zip(row, units)]
+                      for row in unfused_forms(ys.reshape(-1, m), cone.dual_generators).tolist()]
+            expected = np.min(np.array(ratios), axis=-1).reshape(shape[:-1])
             with np.errstate(all="ignore"):
-                expected = np.min((ys @ cone.dual_generators.T) / cone._unit_scores, axis=-1)
                 got = gerstewitz_many(cone, ys)
             assert got.shape == expected.shape
             nan = np.isnan(expected)
             np.testing.assert_array_equal(np.isnan(got), nan)
             assert got[~nan].tobytes() == expected[~nan].tobytes()
+
+
+def test_linear_forms_are_unfused_fixed_order_sums():
+    # generic values, where a fused multiply-add rounds differently
+    rng = np.random.default_rng(3)
+    for m, k in ((1, 1), (2, 2), (2, 3), (3, 3), (4, 2)):
+        W = rng.normal(size=(k, m))
+        points = rng.normal(size=(5000, m)) * 10.0 ** rng.integers(-3, 4, (5000, 1))
+        points[:50] = -0.0
+        got = linear_forms(points, W)
+        assert got.tobytes() == unfused_forms(points, W).tobytes()
+        assert not np.signbit(got[:50]).any()  # the fold starts from +0.0
+        # leading shapes and batch sizes change no bit
+        stacked = linear_forms(points.reshape(50, 100, m), W)
+        assert stacked.tobytes() == got.tobytes()
+        for i in (0, 7, 4999):  # one point takes the Python-float path
+            assert linear_forms(points[i], W).tobytes() == got[i].tobytes()

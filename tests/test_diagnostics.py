@@ -8,7 +8,7 @@ from setopt import (ConeSpec, DomainGrid, MapModel, PointCloudSet,
                     ProblemValidationError, SetValuedProblem, check_asymptotic_gap,
                     check_attainment, check_coercivity, check_colevel_compact_at,
                     check_regular_global_inf, check_transfer_closed, existence_report)
-from setopt import colevel, colevel_at_set
+from setopt import colevel
 from setopt.problem import build_problem
 from setopt.scalarizer import scalar_field
 from setopt import InternalConsistencyError
@@ -16,7 +16,7 @@ from setopt import diagnostics, fixtures as fixture_catalog
 from setopt.cli import main
 from setopt.solver import domination_matrix, efficient_sets
 
-from conftest import constant_problem
+from conftest import colevel_at_set, constant_problem
 
 
 def test_attainment_verdicts(shifted72):

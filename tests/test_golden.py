@@ -9,6 +9,11 @@ any output those changes move shows up here.  Each colevel case uses one height 
 between the fixture's scalar infimum and its maximum over the grid;
 each compact-at case uses one grid point, and together they cover the
 holds and the fails verdict.
+
+The skew_cone document under documents/ has non-dyadic generators and
+cloud points, where a fused multiply-add rounds scores differently from
+the unfused fold every score goes through; its goldens are checked
+against scores recomputed in plain Python floats as well.
 """
 
 import json
@@ -19,7 +24,10 @@ import pytest
 from setopt import fixtures
 from setopt.cli import main
 
+from conftest import unfused_forms
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+SKEW_CONE = pathlib.Path(__file__).parent / "documents" / "skew_cone.json"
 
 LAMBDAS = {
     "decay_tail": "0.5",
@@ -117,3 +125,22 @@ def test_benchmark_sized_check_matches_golden(name, tmp_path, capsys):
     path.write_text(json.dumps(doc))
     argv = ["check", str(path), "--all", "--transfer"]
     assert _stdout(argv, capsys) == (GOLDEN / f"{name}.check.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["scalarize", "solve"])
+def test_skew_cone_matches_golden(command, capsys):
+    out = _stdout([command, str(SKEW_CONE)], capsys)
+    assert out == (GOLDEN / f"skew_cone.{command}.json").read_bytes()
+
+
+def test_skew_cone_golden_values_are_plain_python_scores():
+    doc = json.loads(SKEW_CONE.read_text())
+    W, q = doc["cone"]["dual_generators"], doc["cone"]["q"]
+    units = unfused_forms([q], W)[0].tolist()
+    psi = [min(s / u for row in unfused_forms(cloud, W).tolist() for s, u in zip(row, units))
+           for cloud in doc["map"]["parameters"]["clouds"]]
+    scalarize = json.loads((GOLDEN / "skew_cone.scalarize.json").read_text())
+    solve = json.loads((GOLDEN / "skew_cone.solve.json").read_text())
+    for table in (scalarize["values"], solve["scalar_table"]):
+        assert [row["value"].hex() for row in table] == [value.hex() for value in psi]
+    assert scalarize["inf_value"].hex() == solve["inf_value"].hex() == min(psi).hex()

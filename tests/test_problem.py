@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from setopt import (DomainGrid, MapModel, ProblemValidationError, SetOptError, build_problem,
-                    check_colevel_compact_at, colevel, colevel_at_set, evaluate, evaluate_at,
+                    check_colevel_compact_at, colevel, evaluate, evaluate_at,
                     gerstewitz_many, global_inf, scalar_field, scalar_value_at, scalar_values_at,
                     solve, to_document)
 from setopt import asymptotics, diagnostics, scalarizer
@@ -14,7 +14,7 @@ from setopt.problem import REGION_TOL, first_failure
 from setopt import fixtures as fixture_catalog
 from setopt.cli import main
 
-from conftest import constant_problem
+from conftest import colevel_at_set, constant_problem, unfused_forms
 
 
 def test_evaluate_tradeoff_segment(tradeoff):
@@ -378,12 +378,15 @@ def test_each_batch_row_is_the_cloud_of_that_point_alone(name, seed):
             assert points[start:end].tobytes() == cloud.points.tobytes()
 
 
-def test_affine_rows_are_one_matrix_vector_product_each():
+def test_affine_rows_are_unfused_fixed_order_sums():
+    # each row's image is the same whatever the batch, and whatever the BLAS
     model = MapModel(kind="piecewise", params={"regions": [{"cloud": _AFFINE_2D}]})
     X = np.random.default_rng(5).normal(size=(50, 2)) * 10.0 ** np.arange(-3, 2).repeat(10)[:, None]
-    matrix, offset = np.array(_AFFINE_2D["matrix"]), np.array(_AFFINE_2D["offset"])
+    matrix, offset = _AFFINE_2D["matrix"], _AFFINE_2D["offset"]
+    expected = [[s + o for s, o in zip(row, offset)]
+                for row in unfused_forms(X, matrix).tolist()]
     points, _ = model.clouds_at(X)
-    assert points.tobytes() == np.array([matrix @ x + offset for x in X]).tobytes()
+    assert points.tobytes() == np.array(expected).tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(_BATCH_MAPS))

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from setopt import (ConeSpec, PointCloudSet, SetValuedProblem, colevel, colevel_at_set, colevel_points, contains,
-                    evaluate, global_inf, scalar_field, scalar_value, strictly_lower_less)
+from setopt import (ConeSpec, PointCloudSet, ProblemValidationError, SetValuedProblem, colevel,
+                    colevel_points, contains, evaluate, global_inf, scalar_field, scalar_value,
+                    strictly_lower_less)
 from setopt import fixtures as fixture_catalog
 from setopt.cone import gerstewitz_many
 from setopt.sampling import random_problem
 
-from conftest import constant_problem, coords_1d
+from conftest import colevel_at_set, constant_problem, coords_1d
 
 
 def _per_cloud_minima(prob):
@@ -126,6 +127,20 @@ def test_colevel_at_set_tradeoff_square(tradeoff):
     }
     assert members == expected
     assert members == set(range(len(tradeoff.grid)))
+
+
+def test_colevel_relation_route_takes_an_overflowing_probe():
+    # lam * <w, q> overflows for the second generator: the relation compares
+    # the infinite probe as it is, with no overflow warning
+    prob = constant_problem([[0.5, 0.5]], q=[1.0, 1e308])
+    np.testing.assert_array_equal(colevel(prob, -2.0), [])
+    np.testing.assert_array_equal(colevel(prob, 2.0), np.arange(len(prob.grid)))
+
+
+def test_colevel_rejects_a_non_finite_lambda(tradeoff):
+    for lam in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ProblemValidationError, match="lambda must be finite"):
+            colevel(tradeoff, lam)
 
 
 def test_route_agreement_on_random_problems():

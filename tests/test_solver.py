@@ -383,12 +383,30 @@ def test_skyline_cut_keeps_each_clouds_first_minimal_points():
         np.testing.assert_array_equal(solver._skyline_points(scores, owner), want)
 
 
+def plane_clouds(rng, cone, count):
+    """Clouds of generic points on x + y + z = 0, each shifted along q: under
+    generators whose columns have equal sums, nearly every point is minimal
+    in score space, and the skyline cut keeps it."""
+    clouds = []
+    for _ in range(count):
+        xy = rng.uniform(-1.0, 1.0, (int(rng.integers(1, 30)), 2))
+        plane = np.column_stack([xy, -xy.sum(axis=1)])
+        clouds.append(plane + rng.uniform(0.0, 3.0) * np.asarray(cone.order_unit))
+    return clouds
+
+
 def test_k3_and_k4_domination_matrix_matches_pairwise_covers():
     pyramid = ConeSpec(np.array([[1.0, 0.0, 1.0], [-1.0, 0.0, 1.0],
                                  [0.0, 1.0, 1.0], [0.0, -1.0, 1.0]]), [0.0, 0.0, 1.0])
-    for cone in (ConeSpec.orthant(3), ConeSpec.orthant(4), pyramid):
+    # non-dyadic, every column summing to 1: scores where BLAS and the fold
+    # round apart, and plane clouds that stay whole through the cut
+    skew = ConeSpec(np.array([[0.7, 0.2, 0.1], [0.2, 0.5, 0.3], [0.1, 0.3, 0.6]]),
+                    [1.1, 0.9, 1.3])
+    cases = [(cone, lattice_clouds) for cone in (ConeSpec.orthant(3), ConeSpec.orthant(4), pyramid)]
+    cases += [(ConeSpec.orthant(3), plane_clouds), (skew, plane_clouds)]
+    for cone, make in cases:
         for seed in range(20):
-            prob = table_problem(lattice_clouds(np.random.default_rng(seed), cone, 12), cone)
+            prob = table_problem(make(np.random.default_rng(seed), cone, 12), cone)
             clouds = [prob.cloud(i) for i in range(len(prob.grid))]
             want = np.array([[setrel.covers(a, b, cone, strict=True) for b in clouds]
                              for a in clouds])

@@ -115,9 +115,20 @@ def _cmd_colevel(args) -> int:
     return 0
 
 
+# The far colevel sample probes radii up to ten times the threshold, whose
+# Euclidean norms must not overflow.  The last rung of a lambda ladder is
+# m + gap * 0.5**(count - 1), the infimum m itself once 0.5**1075 rounds to 0.
+_MAX_THRESHOLD = float(np.sqrt(np.finfo(float).max)) / 10.0
+_MAX_LAMBDA_COUNT = 1075
+
+
 def _cmd_asymptotic(args) -> int:
     if not 0.0 < args.t_max < np.inf or args.t_count < 4:
         raise CLIUsageError("--t-max must be finite and positive, and --t-count at least 4")
+    if args.horizon and not 0.0 < args.threshold <= _MAX_THRESHOLD:
+        raise CLIUsageError(f"--threshold must be positive and at most {_MAX_THRESHOLD:.6g}")
+    if args.horizon and not 2 <= args.lambda_count <= _MAX_LAMBDA_COUNT:
+        raise CLIUsageError(f"--lambda-count must be between 2 and {_MAX_LAMBDA_COUNT}")
     problem = _load_problem(args.problem)
     directions = [_parse_vector(d) for d in args.direction] if args.direction else None
     gap = check_asymptotic_gap(problem, directions=directions,

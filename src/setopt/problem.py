@@ -29,7 +29,8 @@ Building a problem evaluates the map at all grid points in one call, into
 the store that every grid-side layer reads instead of evaluating again.
 This module is the one home of the store's layout (`_runs` gathers clouds
 from a stack), its total bound (MAX_CLOUD_POINTS, checked before it is
-allocated) and its magnitude bounds (`_magnitudes`, met off the grid too).
+allocated) and its magnitude bounds (`_magnitudes`, met off the grid too,
+where `_check_magnitudes` decides most batches by one bound).
 """
 
 from __future__ import annotations
@@ -747,6 +748,31 @@ def _magnitudes(cone: ConeSpec, points: np.ndarray, starts: np.ndarray, X: np.nd
             f"map value at {where} {X[np.argmax(large)].tolist()} is too large: coordinates, "
             f"generator scores and generator scores over <w, q> must not exceed {half:g}")
     return mags, psi_bounds
+
+
+def _check_magnitudes(cone: ConeSpec, points: np.ndarray, starts: np.ndarray, X: np.ndarray,
+                      where: str) -> None:
+    """Raise as `_magnitudes` does, deciding the common case by one bound on the whole batch.
+
+    With P the largest |p_c| of the batch, every |p_c| <= P, every
+    |w_j| . |p| <= ||w_j||_1 P, and every |w_j| . |p| / <w_j, q> <=
+    ||w_j||_1 P / min_j <w_j, q>; so all three are at most
+    B = P max(1, max_j ||w_j||_1) max(1, 1 / min_j <w_j, q>) in exact
+    arithmetic, with <w_j, q> the stored unit scores.  The gate computes
+    its values from nonnegative terms: an m-term fold and one division,
+    each above its exact value by at most a factor (1 + u)^(2m + 1),
+    u = eps / 2, while B as computed here is below its exact value by at
+    most (1 - u)^(m + 3).  For any m below 2^50 that is a factor under 2,
+    so when 2 B stays within half the float maximum no value of the gate
+    exceeds it.  Otherwise `_magnitudes` runs, so the error and the row it
+    names are the same.
+    """
+    spread = max(float(points.max()), -float(points.min()))
+    weights = max(1.0, float(np.abs(cone.dual_generators).sum(axis=1).max()))
+    # Python floats: an overflow gives inf, which sends the batch to the exact gate
+    bound = spread * weights * max(1.0, 1.0 / float(cone._unit_scores.min()))
+    if not 2.0 * bound <= np.finfo(float).max / 2:
+        _magnitudes(cone, points, starts, X, where)
 
 
 @dataclass

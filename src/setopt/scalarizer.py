@@ -21,7 +21,7 @@ import numpy as np
 
 from . import cone as _cone
 from .errors import InternalConsistencyError, ProblemValidationError
-from .problem import MAX_CLOUD_POINTS, SetValuedProblem, _magnitudes, first_failure
+from .problem import MAX_CLOUD_POINTS, SetValuedProblem, _check_magnitudes, first_failure
 
 __all__ = ["ScalarField", "scalar_field", "scalar_value", "scalar_value_at", "scalar_values_at",
            "global_inf", "colevel", "colevel_points"]
@@ -69,7 +69,10 @@ def scalar_values_at(problem: SetValuedProblem, X) -> np.ndarray:
         raise ProblemValidationError("table maps cannot be evaluated off the grid")
     X = np.ascontiguousarray(X, dtype=float)
     memo = problem._cache.setdefault("off_grid_values", {})
-    keys = [row.tobytes() for row in X]
+    # each row's float64 bytes as one fixed-width string; numpy strips its
+    # trailing NUL bytes, which is injective at one width (two strings that
+    # strip alike differ only in how many NULs they had, so not at all)
+    keys = X.view((np.bytes_, X.itemsize * X.shape[1])).ravel().tolist()
     new = {}  # the first row of each point the memo misses
     for i, key in enumerate(keys):
         if key not in memo:
@@ -79,7 +82,7 @@ def scalar_values_at(problem: SetValuedProblem, X) -> np.ndarray:
     for lo in range(0, len(rows), step):
         values = first_failure(lambda Y: _cloud_minima(problem, Y), rows[lo:lo + step])
         memo.update(zip(fresh[lo:lo + step], values.tolist()))
-    return np.array([memo[key] for key in keys])
+    return np.fromiter(map(memo.__getitem__, keys), float, len(keys))
 
 
 def _least_ratios(cone: _cone.ConeSpec, scores: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -90,7 +93,7 @@ def _least_ratios(cone: _cone.ConeSpec, scores: np.ndarray, starts: np.ndarray) 
 def _cloud_minima(problem: SetValuedProblem, X: np.ndarray) -> np.ndarray:
     """psi at each row of X, from its cloud held to the store's magnitude bounds."""
     points, starts = problem.map_model.clouds_at(X)
-    _magnitudes(problem.cone, points, starts, X, "point")
+    _check_magnitudes(problem.cone, points, starts, X, "point")
     scores = _cone.linear_forms(points, problem.cone.dual_generators)
     return _least_ratios(problem.cone, scores, starts)
 

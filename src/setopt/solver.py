@@ -18,15 +18,17 @@ does not.  So each cloud is cut to its minimal points first, keeping one
 of equal points.  With k <= 2 the cut is a staircase (Kung, Luccio &
 Preparata, J. ACM 1975), sorted by the first score with the prefix
 minimum of the second, and one searchsorted per row decides every point
-of every column, O(R log p).  With k >= 3 the cut is a sort-filter
-skyline (Chomicki, Godfrey, Gryz & Liang, ICDE 2003), and every row point
-is compared with every column point, generator by generator.  The kernel
-compares differences of unfused sums fl(S_b) - fl(S_a) where the oracle
-`setrel.covers` compares fl(<w, fl(b - a)>), fused or not, so each row is
-decided at cone_tol +- band, where band bounds the gap between them.  A
-pair the two passes decide alike is decided the same way by the oracle; a
-pair they split is handed to `setrel.covers`.  Every row is therefore
-exactly what the pairwise oracle gives.
+of every column, O(R log p); the cut takes three sorts, the ranks of the
+second score coming from one stable argsort, and one running minimum.
+With k >= 3 the cut is a sort-filter skyline (Chomicki, Godfrey, Gryz &
+Liang, ICDE 2003), and every row point is compared with every column
+point, generator by generator.  The kernel compares differences of
+unfused sums fl(S_b) - fl(S_a) where the oracle `setrel.covers` compares
+fl(<w, fl(b - a)>), fused or not, so each row is decided at
+cone_tol +- band, where band bounds the gap between them.  A pair the two
+passes decide alike is decided the same way by the oracle; a pair they
+split is handed to `setrel.covers`.  Every row is therefore exactly what
+the pairwise oracle gives.
 
 `efficient_sets` never builds D.  It rests on the monotonicity of the
 scalarization psi: with delta = cone_tol / max_w <w, q>, A <l B implies
@@ -54,11 +56,18 @@ the float maximum, so every key is finite.
 The sweep visits rows in ascending psi.  Row i is tested only against
 the live columns j with top_j = psi_j + beta mu_j at least
 reach_i = psi_i + delta - beta (mu_i + tau), its window; a column is
-removed at its first dominator, which is recorded.  Rows are taken in
-blocks of consecutive rows, one kernel call per block, against the
-columns live at the block's start, each row masked to its own window and
-never tested against itself; a column's first dominator is the earliest
-block row that hits it, and the columns hit are removed after the block.
+removed at its first dominator, which is recorded.  A row whose window
+holds no live column, its reach above the largest live top, is passed
+over: that top only falls, so the row never gets a column later.  The
+sweep finds the next row with reach at most the largest live top by
+vectorized comparisons over windows of doubling length, O(N) in all, and
+stops when no live column or no such row is left; with finite keys these
+are exactly the rows whose window a search would find empty.  Rows are
+taken in blocks of consecutive rows, one kernel call per block, against
+the columns live at the block's start, each row masked to its own window
+and never tested against itself; a column's first dominator is the
+earliest block row that hits it, and the columns hit are removed after
+the block.
 A column live when row i comes up one row at a time is live at the
 block's start and in the same window, and a column that an earlier row
 of the block removes is hit first by that row, so the first dominators
@@ -222,14 +231,25 @@ def _staircase_points(scores: np.ndarray, owner: np.ndarray) -> np.ndarray:
     """Indices of each cloud's minimal points in (first, second) score space.
 
     Grouped by cloud; within a cloud the first score ascends and the second
-    strictly descends.  Ties and duplicates keep one point.
+    strictly descends.  Ties and duplicates keep the first point by index.
+    Three sorts: one stable argsort of the second score gives its ranks,
+    equal scores sharing one, and its order; a stable argsort of the first
+    score in that order gives the order of (first, second, index), and an
+    integer argsort groups it by cloud.
     """
-    order = np.lexsort((scores[:, 1], scores[:, 0], owner))
-    second = scores[order, 1]
+    n = len(owner)
+    by_second = np.argsort(scores[:, 1], kind="stable")
+    second = scores[by_second, 1]
+    tied = np.concatenate(([False], second[1:] == second[:-1]))  # -0.0 ties 0.0
+    rank = np.empty(n, dtype=np.intp)
+    rank[by_second] = np.maximum.accumulate(np.where(tied, 0, np.arange(n)))
+    by_first = by_second[np.argsort(scores[by_second, 0], kind="stable")]
+    place = np.empty(n, dtype=np.intp)
+    place[by_first] = np.arange(n)
+    order = np.argsort(owner * n + place)  # distinct keys: no stability needed
     # Integer ranks keep comparisons exact; lifting every earlier cloud by a
     # whole rank range lets one running minimum restart at each cloud.
-    rank = np.searchsorted(np.sort(second), second)
-    key = rank + (owner.max() - owner[order]) * (len(order) + 1)
+    key = rank[order] + (owner.max() - owner[order]) * (n + 1)
     before = np.concatenate(([np.iinfo(key.dtype).max], np.minimum.accumulate(key)[:-1]))
     return order[key < before]
 
@@ -276,6 +296,23 @@ def _separation(problem: SetValuedProblem) -> float:
     return problem.cone.cone_tol / problem.cone._unit_scores.max()
 
 
+def _next_reaching(reach: np.ndarray, bound: float, pos: int) -> int:
+    """The first index from pos on with reach at most bound, or len(reach).
+
+    Windows of doubling length: passing over L indices costs O(L) work in
+    O(log L) numpy calls.
+    """
+    width = 1
+    while pos < len(reach):
+        within = reach[pos: pos + width] <= bound
+        at = int(within.argmax())
+        if within[at]:
+            return pos + at
+        pos += width
+        width *= 2
+    return len(reach)
+
+
 def _sweep(test: _RowTest, rows: np.ndarray, top: np.ndarray, reach: np.ndarray) -> np.ndarray:
     """Each column's first dominator in the order of `rows`, or -1 if it has none.
 
@@ -294,11 +331,13 @@ def _sweep(test: _RowTest, rows: np.ndarray, top: np.ndarray, reach: np.ndarray)
     row_reach = reach[rows]
     first = np.full(n, -1)
     pos = 0
-    while pos < n:
+    while len(live):
+        # a row whose window holds no live column never gets one: the largest
+        # live top only falls
+        pos = _next_reaching(row_reach, live_top[-1], pos)
+        if pos == n:
+            break
         start = np.searchsorted(live_top, row_reach[pos])
-        if start == len(live):
-            pos += 1
-            continue
         # the longest run of rows from pos whose block fits in _BLOCK_PAIRS,
         # each row's window widening the block's columns to the lowest reach
         span = slice(pos, pos + max(1, _BLOCK_PAIRS // int(tail[start])))

@@ -151,6 +151,15 @@ def test_error_exit_codes(fixture_dir, capsys, tmp_path):
     (["asymptotic", "decay_tail.json", "--t-max", "nan"], "--t-max must be finite"),
     (["asymptotic", "decay_tail.json", "--t-max", "0"], "--t-max must be finite"),
     (["oracle", "random", "--count", "-5"], "--count must not be negative"),
+    (["asymptotic", "decay_tail.json", "--horizon", "--threshold", "inf"], "--threshold must be"),
+    (["asymptotic", "decay_tail.json", "--horizon", "--threshold", "nan"], "--threshold must be"),
+    (["asymptotic", "decay_tail.json", "--horizon", "--threshold", "0"], "--threshold must be"),
+    (["asymptotic", "decay_tail.json", "--horizon", "--threshold", "-1"], "--threshold must be"),
+    (["asymptotic", "decay_tail.json", "--horizon", "--threshold", "1e154"], "at most 1.3407"),
+    (["asymptotic", "decay_tail.json", "--horizon", "--lambda-count", "100000000000"],
+     "--lambda-count must be between 2 and 1075"),
+    (["asymptotic", "decay_tail.json", "--horizon", "--lambda-count", "1076"], "--lambda-count"),
+    (["asymptotic", "decay_tail.json", "--horizon", "--lambda-count", "1"], "--lambda-count"),
 ])
 def test_non_finite_or_out_of_range_numbers_exit_1(fixture_dir, capsys, argv, message):
     # each used to exit 0 with a report that is not JSON, or to escape as a

@@ -412,6 +412,33 @@ def test_scalar_values_at_matches_one_point_at_a_time(name, seed):
         assert [scalar_value_at(one_point, x) for x in X] == expected
 
 
+def test_off_grid_memo_keeps_rows_that_differ_only_in_signed_zeros():
+    # a key is the row's bytes without their trailing NULs: the all-zero row
+    # is the empty key, and each -0.0 sets a sign byte, so none of these meet
+    prob = constant_problem([[1.0, -2.0]], box=[[-1.0, 1.0], [-1.0, 1.0]], resolution=[3, 3])
+    X = np.array([[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [5e-324, 0.0], [0.0, 0.0]])
+    np.testing.assert_array_equal(scalar_values_at(prob, X), np.full(6, -2.0))
+    assert len(prob._cache["off_grid_values"]) == 5
+    np.testing.assert_array_equal(scalar_values_at(prob, X[::-1]), np.full(6, -2.0))  # all hits
+    assert len(prob._cache["off_grid_values"]) == 5
+
+
+def test_off_grid_batches_near_the_float_maximum_take_the_exact_gate(monkeypatch):
+    # |p| = 5e307 is above a quarter of the float maximum, so the whole-batch
+    # bound cannot pass the batch; every exact gate value, 5e307 under the
+    # orthant, is within half of it, so the exact gate runs and passes
+    calls = []
+    real = problem_module._magnitudes
+    monkeypatch.setattr(problem_module, "_magnitudes",
+                        lambda *args: calls.append(args) or real(*args))
+    small, large = constant_problem([[1.0, -2.0]]), constant_problem([[5e307, -5e307]])
+    calls.clear()  # the builds' gates
+    np.testing.assert_array_equal(scalar_values_at(small, [[0.3], [0.7]]), [-2.0, -2.0])
+    assert calls == []  # decided by the bound
+    np.testing.assert_array_equal(scalar_values_at(large, [[0.3], [0.7]]), [-5e307, -5e307])
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_table_lookup_matches_an_argmin_scan(seed, monkeypatch):
     monkeypatch.setattr(problem_module, "_LOOKUP_BLOCK", 5)  # several blocks per batch

@@ -106,9 +106,10 @@ def test_cone_tol_survives_the_round_trip():
     np.testing.assert_array_equal(efficient_sets(rebuilt)[0], [0, 1])
 
 
-def interval_problem(rng):
-    """1D interval images under a one-generator cone of either sign."""
-    n = int(rng.integers(1, 40))
+def interval_problem(rng, n=None):
+    """1D interval images under a one-generator cone of either sign, n of them
+    (by default 1 to 39)."""
+    n = int(rng.integers(1, 40)) if n is None else n
     lo = np.round(rng.uniform(-5.0, 5.0, n), int(rng.integers(0, 4)))
     hi = lo + rng.uniform(0.0, 3.0, n) * (rng.random(n) < 0.7)
     w = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
@@ -383,6 +384,28 @@ def test_skyline_cut_keeps_each_clouds_first_minimal_points():
         np.testing.assert_array_equal(solver._skyline_points(scores, owner), want)
 
 
+def test_staircase_cut_keeps_each_clouds_first_minimal_points():
+    rng = np.random.default_rng(7)
+    for k in (1, 2):
+        for sizes in (rng.integers(1, 40, 30), np.ones(12, dtype=int), [1, 5, 1, 1, 7]):
+            owner = np.repeat(np.arange(len(sizes)), sizes)
+            scores = rng.integers(0, 4, (len(owner), k)).astype(float)
+            scores[rng.random(scores.shape) < 0.1] = -0.0  # equal to 0.0, kept first by index
+            if k == 1:
+                scores = np.repeat(scores, 2, axis=1)  # how the row test passes one generator
+            want = [b for b in range(len(owner))
+                    if not any(owner[a] == owner[b] and a != b and (scores[a] <= scores[b]).all()
+                               and ((scores[a] < scores[b]).any() or a < b)
+                               for a in range(len(owner)))]
+            got = solver._staircase_points(scores, owner)
+            np.testing.assert_array_equal(np.sort(got), want)
+            # grouped by cloud, each a staircase: first score up, second down
+            same = owner[got][1:] == owner[got][:-1]
+            assert (owner[got][1:] >= owner[got][:-1]).all()
+            assert (scores[got[1:], 0] > scores[got[:-1], 0])[same].all()
+            assert (scores[got[1:], 1] < scores[got[:-1], 1])[same].all()
+
+
 def plane_clouds(rng, cone, count):
     """Clouds of generic points on x + y + z = 0, each shifted along q: under
     generators whose columns have equal sums, nearly every point is minimal
@@ -423,10 +446,14 @@ def test_sweep_block_size_changes_nothing(monkeypatch):
                 for _ in range(25)]
     problems += [table_problem(lattice_clouds(rng, cone, 40), cone)
                  for cone in (ConeSpec.orthant(3), ConeSpec.orthant(4))]
+    # the first rows remove nearly every column, so the sweep passes over
+    # nearly every later row without a block
+    problems += [interval_problem(rng, n) for n in (2000, 2001, 2002)]
     for prob in problems:
         got = []
-        # the default, one row per block, and every row in one block
-        for budget in (solver._BLOCK_PAIRS, 1, 2**40):
+        # the default, one row per block, and every row in one block (N^2
+        # scratch; blocks of 64 pairs on the large problems instead)
+        for budget in (solver._BLOCK_PAIRS, 1, 2**40 if len(prob.grid) < 2000 else 64):
             monkeypatch.setattr(solver, "_BLOCK_PAIRS", budget)
             prob._cache.pop("efficient_sets", None)
             got.append((*efficient_sets(prob), firsts[-1]))

@@ -266,6 +266,8 @@ def far_colevel_sample(problem: SetValuedProblem, lam: float,
     Analytic map kinds are probed along compass rays beyond the grid;
     table kinds can only contribute far grid points.
     """
+    if not 0.0 < radius_threshold < np.inf:
+        raise ProblemValidationError("radius_threshold must be finite and positive")
     tie = problem.tolerances.tie_tol
     low = problem.grid.points[scalar_field(problem).values <= lam + tie]
     pts = list(low[np.linalg.norm(low, axis=1) >= radius_threshold])

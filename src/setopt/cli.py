@@ -4,7 +4,8 @@ Subcommands: solve, scalarize, colevel, asymptotic, check, oracle,
 fixtures.  Reports are JSON with sorted keys and shortest round-trip
 float formatting, so identical inputs produce byte-identical output.
 Every report is written by `_emit`, the one place that knows how report
-objects, numpy arrays and numpy scalars become JSON.
+objects, numpy arrays and numpy scalars become JSON: json's C encoder
+writes it compact, and one numpy pass lays it out as indent=2 would.
 Exit codes: 0 success, 1 validation or usage error, 2 internal
 consistency violation.
 """
@@ -57,8 +58,49 @@ def _json_value(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+# The bytes of compact JSON that the layout reads: brackets, item separators
+# and string delimiters, each translated to 1 and every other byte to 0.
+_TOKENS = bytes(int(chr(byte) in '[{]},"') for byte in range(256))
+_WINDOW = 65536  # line breaks laid out per pass, which bounds the index arrays
+
+
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=2, default=_json_value))
+    """Print obj exactly as json.dumps(obj, sort_keys=True, indent=2) would.
+
+    json uses its C encoder only when indent is None, so the text is encoded
+    compact and then laid out by numpy: outside strings, a line break and two
+    spaces per level go after each [ { and , and before each ] and }, while
+    [] and {} stay on one line.  Blanking the escapes \\\\ and \\" leaves
+    only the quotes that open or close a string.
+    """
+    raw = json.dumps(obj, sort_keys=True, separators=(",", ": "),
+                     default=_json_value).encode("ascii")
+    probe = raw.replace(b"\\\\", b"__").replace(b'\\"', b"__") if b"\\" in raw else raw
+    text = np.frombuffer(raw, np.uint8)
+    pos = np.flatnonzero(np.frombuffer(probe.translate(_TOKENS), bool))
+    char = text[pos]
+    quote = char == ord('"')
+    outside = ~(quote | np.logical_xor.accumulate(quote))
+    pos, char = pos[outside], char[outside]
+    opens = (char == ord("[")) | (char == ord("{"))
+    closes = (char == ord("]")) | (char == ord("}"))
+    empty = np.flatnonzero(opens[:-1] & closes[1:] & (pos[1:] == pos[:-1] + 1))
+    broken = np.ones(len(pos), bool)
+    broken[empty] = broken[empty + 1] = False
+    gaps = (pos + ~closes)[broken]  # a break goes before raw[gap]
+    widths = 1 + 2 * np.cumsum(opens.view(np.int8) - closes.view(np.int8))[broken]
+    write, start = sys.stdout.write, 0
+    for lo in range(0, len(gaps), _WINDOW):
+        at, width = gaps[lo:lo + _WINDOW] - start, widths[lo:lo + _WINDOW]
+        shift = np.ones(at[-1], np.int64)
+        shift[0] = 0
+        shift[at[:-1]] += width[:-1]
+        out = np.full(at[-1] + width.sum(), ord(" "), np.uint8)
+        out[np.cumsum(shift, out=shift)] = text[start:start + at[-1]]
+        out[at + np.cumsum(width) - width] = ord("\n")
+        write(str(out, "ascii"))
+        start += at[-1]
+    write(str(text[start:], "ascii") + "\n")
 
 
 def _load_problem(path: str):
@@ -79,13 +121,7 @@ def _parse_vector(text: str) -> np.ndarray:
         raise CLIUsageError(f"cannot parse vector {text!r}") from exc
 
 
-def _write_scalar_csv(problem, path: str) -> None:
-    field = scalar_field(problem)
-    n = problem.grid.dim_domain
-    header = ",".join([f"x_{i}" for i in range(n)] + ["value"])
-    lines = [header]
-    for x, v in zip(problem.grid.points, field.values):
-        lines.append(",".join([repr(float(c)) for c in x] + [repr(float(v))]))
+def _write_csv(path: str, lines: list) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -104,7 +140,9 @@ def _cmd_scalarize(args) -> int:
     problem = _load_problem(args.problem)
     field = scalar_field(problem)
     if args.csv:
-        _write_scalar_csv(problem, args.csv)
+        header = ",".join([f"x_{i}" for i in range(problem.grid.dim_domain)] + ["value"])
+        _write_csv(args.csv, [header] + [",".join(map(repr, [*x, v])) for x, v in
+                                         zip(problem.grid.points.tolist(), field.values.tolist())])
     _emit({"inf_value": field.inf_value, "values": scalar_table(problem, field.values)})
     return 0
 
@@ -143,8 +181,7 @@ def _cmd_asymptotic(args) -> int:
             label = ";".join(repr(c) for c in e.direction.tolist())
             for t, v in zip(e.t_values.tolist(), e.liminf_trace.tolist()):
                 lines.append(f"{label},{t!r},{v!r}")
-        with open(args.csv, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
+        _write_csv(args.csv, lines)
     _emit(out)
     return 0
 

@@ -328,8 +328,7 @@ def check_coercivity(problem: SetValuedProblem, lam_probe: float | None = None) 
                 evidence={
                     "lambda": lam,
                     "colevel_size": int(len(members)),
-                    "colevel_points": problem.grid.points[members]
-                    if len(members) <= 16 else problem.grid.points[members[:16]],
+                    "colevel_points": problem.grid.points[members[:16]],
                 },
             )
         touched.append(lam)
@@ -447,7 +446,7 @@ def existence_report(problem: SetValuedProblem) -> HypothesisReport:
             "an existence route was declared applicable but the strict "
             "solution set is empty"
         )
-    sample = problem.grid.points[strict[: min(8, len(strict))]].tolist()
+    sample = problem.grid.points[strict[:8]].tolist()
     notes = [
         "image of the grid is a finite union of finite clouds, hence order-bounded",
         "finite-dimensional domain with the norm topology: unit ball compactness "

@@ -116,8 +116,9 @@ class DomainGrid:
         if not (np.abs(pts) <= MAX_COORDINATE).all():
             raise ProblemValidationError(
                 f"grid points must be finite, with coordinates of at most {MAX_COORDINATE:g}")
-        # distinctness: exact duplicate rows are authoring errors
-        if len(np.unique(pts, axis=0)) != len(pts):
+        # distinctness: exact duplicate rows (0.0 equals -0.0) are authoring errors
+        rows = pts[np.lexsort(pts.T[::-1])]
+        if (rows[1:] == rows[:-1]).all(axis=1).any():
             raise ProblemValidationError("grid points must be distinct")
         object.__setattr__(self, "points", pts)
         if self.box is not None:

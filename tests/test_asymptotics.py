@@ -109,6 +109,14 @@ def test_horizon_schedule_validation(decay):
         horizon_outer_limit(decay, np.array([0.5, -2.0]))
 
 
+@pytest.mark.parametrize("threshold", [0.0, -1.0, np.nan, np.inf])
+def test_radius_threshold_must_be_finite_and_positive(decay, threshold):
+    with pytest.raises(ProblemValidationError, match="radius_threshold"):
+        far_colevel_sample(decay, 0.5, threshold)
+    with pytest.raises(ProblemValidationError, match="radius_threshold"):
+        horizon_outer_limit(decay, default_lambda_schedule(decay), radius_threshold=threshold)
+
+
 def _table_pair():
     # F2 shifts every cloud of F1 one order unit up, so F1 <=l F2 pointwise
     rng = np.random.default_rng(77)

@@ -1,16 +1,19 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import os
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setopt import build_problem, check_asymptotic_gap, fixtures, to_document
-from setopt.cli import _emit, main
+from setopt import build_problem, check_asymptotic_gap, cli, fixtures, to_document
+from setopt.cli import _emit, _json_value, main
 from setopt.sampling import random_problem
 
 
@@ -120,6 +123,78 @@ def test_emit_encodes_reports_and_numpy_values_only(capsys):
     assert doc["gap"]["per_direction"][0]["direction"] == [1.0]
     with pytest.raises(TypeError, match="set is not JSON serializable"):
         _emit({"points": {1.0}})
+
+
+def _emitted(obj) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(obj)
+    return out.getvalue()
+
+
+def _indent2(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2, default=_json_value) + "\n"
+
+
+@dataclasses.dataclass
+class _Report:
+    note: str
+    value: object = dataclasses.field(metadata={"json": "[value]"})
+
+
+# strings heavy in the bytes the layout reads, plus non-ASCII and control characters
+_TEXT = st.text(st.one_of(st.sampled_from('[]{},:"\\ '), st.characters()), max_size=8)
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=10**20),
+    st.floats(), st.just(-0.0), _TEXT,
+    st.floats().map(np.float64), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.tuples(st.integers(0, 3), st.integers(0, 2)).map(
+        lambda shape: np.arange(shape[0] * shape[1], dtype=float).reshape(shape) / 3.0),
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.dictionaries(st.one_of(_TEXT, st.sampled_from(["[]", "{}", ",", '"'])), kids,
+                        max_size=4),
+        st.builds(_Report, _TEXT, kids)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES, st.sampled_from([1, 2, 5, cli._WINDOW]))
+def test_emit_lays_out_text_as_indent_2(obj, window):
+    with mock.patch.object(cli, "_WINDOW", window):
+        assert _emitted(obj) == _indent2(obj)
+
+
+@pytest.mark.parametrize("obj", [3.5, "[,]", None, [], {}, [[[]]], {"k": {}},
+                                 {"a": [{}, [], [[], {"b": {}}]]}, ['\\"[', "\\\\", '"']])
+def test_emit_matches_indent_2_on_scalars_and_empty_containers(obj):
+    assert _emitted(obj) == _indent2(obj)
+
+
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+
+def test_emit_peak_memory_stays_near_indent_2():
+    table = {"inf_value": -1.0,
+             "values": [{"x": [i / 7.0], "value": i * 0.37} for i in range(50_000)]}
+    tracemalloc.start()
+    try:
+        text = json.dumps(table, sort_keys=True, indent=2, default=_json_value)
+        reference = tracemalloc.get_traced_memory()[1]
+        del text
+        tracemalloc.reset_peak()
+        with contextlib.redirect_stdout(_Discard()):
+            _emit(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * reference
 
 
 def test_error_exit_codes(fixture_dir, capsys, tmp_path):

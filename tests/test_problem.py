@@ -135,8 +135,15 @@ def test_image_dimension_checked():
 
 
 def test_grid_invariants():
-    with pytest.raises(ProblemValidationError, match="distinct"):
-        DomainGrid(np.array([[0.0], [0.0]]))
+    for rows in ([[0.0], [0.0]], [[0.0], [-0.0]], [[2.0], [1.0], [2.0]],
+                 [[1.0, 2.0], [1.0, 3.0], [1.0, 2.0]], [[0.0, -1.0], [-0.0, -1.0]],
+                 [[1.0, 2.0, 3.0], [1.0, 2.0, 4.0], [0.0, 9.0, 9.0], [1.0, 2.0, 3.0]],
+                 [[5.0, 0.0, -0.0], [5.0, -0.0, 0.0]]):
+        with pytest.raises(ProblemValidationError, match="distinct"):
+            DomainGrid(np.array(rows))
+    # rows that differ only in their last coordinate are distinct
+    assert len(DomainGrid(np.array([[1.0, 2.0], [1.0, 3.0], [1.0, -2.0]]))) == 3
+    assert len(DomainGrid(np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 4.0], [0.0, 2.0, 3.0]]))) == 3
     with pytest.raises(ProblemValidationError, match="outside box"):
         DomainGrid(np.array([[3.0]]), box=np.array([[-1.0, 1.0]]))
     grid = DomainGrid.from_box([[-1.0, 1.0], [0.0, 2.0]], [3, 5])

@@ -221,11 +221,8 @@ def check_asymptotic_gap(problem: SetValuedProblem, directions=None,
     problem per ray schedule, so it is computed once per problem.
     """
     if directions is None:
-        key = ("asymptotic_gap", t_max, t_count)
-        if key not in problem._cache:
-            problem._cache[key] = _gap_report(
-                problem, compass_directions(problem.grid.dim_domain), t_max, t_count)
-        return problem._cache[key]
+        return problem._derived(("asymptotic_gap", t_max, t_count), lambda p: _gap_report(
+            p, compass_directions(p.grid.dim_domain), t_max, t_count))
     return _gap_report(problem, directions, t_max, t_count)
 
 

@@ -44,6 +44,10 @@ class ConeSpec:
     cone_tol: float = DEFAULT_CONE_TOL
     # <w_j, q>, precomputed; positive by the interiority invariant
     _unit_scores: np.ndarray = field(init=False, repr=False, compare=False)
+    # cone_tol in psi units: delta = cone_tol / max_j <w_j, q>, the least psi drop
+    # strict domination forces, and tau = cone_tol / min_j <w_j, q>, the largest
+    _delta: float = field(init=False, repr=False, compare=False)
+    _tau: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.atleast_2d(np.asarray(self.dual_generators, dtype=float))
@@ -70,6 +74,8 @@ class ConeSpec:
         if not np.isfinite(unit_scores).all():
             raise ProblemValidationError("generator scores <w, q> of the order unit overflow")
         object.__setattr__(self, "_unit_scores", unit_scores)
+        object.__setattr__(self, "_delta", self.cone_tol / unit_scores.max())
+        object.__setattr__(self, "_tau", self.cone_tol / unit_scores.min())
 
     @property
     def dim_image(self) -> int:

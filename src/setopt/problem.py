@@ -40,7 +40,7 @@ import json
 import math
 import reprlib
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 
 import numpy as np
 
@@ -709,10 +709,12 @@ class MapModel:
         `cloud_at` gives for that row alone.  If some row fails, this
         raises; `first_failure` finds the error of the first one.
         """
+        X = np.asarray(X, dtype=float)
         with np.errstate(all="ignore"):  # an overflow ends in a non-finite cloud, rejected below
-            points, starts = self._evaluate(np.asarray(X, dtype=float))
+            points, starts = self._evaluate(X)
         if not np.isfinite(points).all():
-            raise ProblemValidationError("point cloud must be finite")
+            row = starts.searchsorted(np.argmin(np.isfinite(points).all(axis=1)), "right") - 1
+            raise ProblemValidationError(f"point cloud at x={X[row].tolist()} must be finite")
         return points, starts
 
     def cloud_at(self, x) -> PointCloudSet:
@@ -776,6 +778,19 @@ def _check_magnitudes(cone: ConeSpec, points: np.ndarray, starts: np.ndarray, X:
         _magnitudes(cone, points, starts, X, where)
 
 
+def _read_only(value):
+    """value, with every array in it, through tuples, lists and dataclasses, read-only."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _read_only(item)
+    elif is_dataclass(value):
+        for item in vars(value).values():
+            _read_only(item)
+    return value
+
+
 @dataclass
 class SetValuedProblem:
     """A full instance: grid, map model, cone, tolerances, asserted flags.
@@ -785,9 +800,11 @@ class SetValuedProblem:
     generator scores <w_j, p> of those rows in `cloud_scores`, and from
     `_magnitudes`, per cloud the maximum of |w_j| . |p| in
     `cloud_magnitudes` and the bound on |psi| in `cloud_psi_bounds`.
-    Instances are immutable by convention after construction; the private
-    cache holds derived artifacts (scalar field, efficient sets, gap
-    report, off-grid scalar values).
+    Artifacts derived from it (scalar field, row test, efficient sets,
+    domination matrix, gap report) live in one memo, built on first use by
+    `_derived`, the only code that touches it.  All that a problem shares
+    is read-only: the store, so every `cloud(i)`, and each artifact's
+    arrays; only the memo's dict of off-grid scalar values grows.
     """
 
     grid: DomainGrid
@@ -795,7 +812,7 @@ class SetValuedProblem:
     cone: ConeSpec
     tolerances: Tolerances = field(default_factory=Tolerances)
     flags: Flags = field(default_factory=Flags)
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(init=False, default_factory=dict, repr=False, compare=False)
     cloud_points: np.ndarray = field(init=False, repr=False, compare=False)
     cloud_starts: np.ndarray = field(init=False, repr=False, compare=False)
     cloud_scores: np.ndarray = field(init=False, repr=False, compare=False)
@@ -803,22 +820,34 @@ class SetValuedProblem:
     cloud_psi_bounds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # every grid point must produce a valid cloud, in the cone's image space;
-        # the space is compared after the build, so a failing row is named first
-        self.cloud_points, self.cloud_starts = first_failure(self.map_model.clouds_at,
-                                                             self.grid.points)
-        dim, cone_dim = self.map_model.dim_image, self.cone.dim_image
-        if dim != cone_dim:
-            raise ProblemValidationError(
-                f"map image dimension {dim} does not match cone dimension {cone_dim}")
-        self.cloud_magnitudes, self.cloud_psi_bounds = _magnitudes(
-            self.cone, self.cloud_points, self.cloud_starts, self.grid.points, "grid point")
-        self.cloud_scores = linear_forms(self.cloud_points, self.cone.dual_generators)
+        # every grid point must produce a valid cloud within the magnitude bounds;
+        # the image space is compared last, so the first failing row is named first
+        map_model, cone = self.map_model, self.cone
+        def clouds(X):  # magnitudes are generator scores: in the cone's space only
+            points, starts = map_model.clouds_at(X)
+            return points, starts, (_magnitudes(cone, points, starts, X, "grid point")
+                                    if map_model.dim_image == cone.dim_image else None)
+        self.cloud_points, self.cloud_starts, bounds = first_failure(clouds, self.grid.points)
+        if bounds is None:
+            raise ProblemValidationError(f"map image dimension {map_model.dim_image} does not "
+                                         f"match cone dimension {cone.dim_image}")
+        self.cloud_magnitudes, self.cloud_psi_bounds = bounds
+        self.cloud_scores = linear_forms(self.cloud_points, cone.dual_generators)
+        _read_only((self.cloud_points, self.cloud_starts, self.cloud_scores,
+                    self.cloud_magnitudes, self.cloud_psi_bounds))
 
     def cloud(self, i: int) -> np.ndarray:
-        """The points of the cloud at grid index i, a view of `cloud_points`."""
+        """The points of the cloud at grid index i, a read-only view of `cloud_points`."""
         starts = self.cloud_starts
         return self.cloud_points[starts[i]: starts[i + 1] if i + 1 < len(starts) else None]
+
+    def _derived(self, key, build: Callable):
+        """The memo's artifact under key: build(self) on first use only, arrays read-only."""
+        try:
+            return self._cache[key]
+        except KeyError:
+            self._cache[key] = artifact = _read_only(build(self))
+            return artifact
 
 
 def evaluate(problem: SetValuedProblem, x) -> PointCloudSet:

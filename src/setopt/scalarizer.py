@@ -36,14 +36,13 @@ class ScalarField:
 
 
 def scalar_field(problem: SetValuedProblem) -> ScalarField:
-    """The cached scalar field of a problem."""
-    cached = problem._cache.get("scalar_field")
-    if cached is not None:
-        return cached
+    """The scalar field of a problem, computed once; its values are read-only."""
+    return problem._derived("scalar_field", _scalar_field)
+
+
+def _scalar_field(problem: SetValuedProblem) -> ScalarField:
     values = _least_ratios(problem.cone, problem.cloud_scores, problem.cloud_starts)
-    field = ScalarField(values=values, inf_value=float(values.min()))
-    problem._cache["scalar_field"] = field
-    return field
+    return ScalarField(values=values, inf_value=float(values.min()))
 
 
 def scalar_value(problem: SetValuedProblem, x) -> float:
@@ -68,7 +67,7 @@ def scalar_values_at(problem: SetValuedProblem, X) -> np.ndarray:
     if not problem.map_model.is_analytic:
         raise ProblemValidationError("table maps cannot be evaluated off the grid")
     X = np.ascontiguousarray(X, dtype=float)
-    memo = problem._cache.setdefault("off_grid_values", {})
+    memo = problem._derived("off_grid_values", lambda _: {})  # mutable: filled below
     # each row's float64 bytes as one fixed-width string; numpy strips its
     # trailing NUL bytes, which is injective at one width (two strings that
     # strip alike differ only in how many NULs they had, so not at all)
@@ -129,7 +128,7 @@ def colevel(problem: SetValuedProblem, lam: float) -> np.ndarray:
     above = _cone.fold_columns(np.logical_and, problem.cloud_scores - probe > cone.cone_tol)
     by_relation = ~np.logical_and.reduceat(above, problem.cloud_starts)
 
-    band = 2.0 * tie + cone.cone_tol / cone._unit_scores.min()
+    band = 2.0 * tie + cone._tau
     disagree = np.flatnonzero(by_field != by_relation)
     for i in disagree:
         if abs(field.values[i] - lam) > band:

@@ -112,25 +112,17 @@ _BLOCK_PAIRS = 4096
 class _RowTest:
     """D[rows, cols] by the banded score-space test, a block of rows at a time.
 
-    Scores S are unfused sums rounded once per point, so S_b - S_a differs
-    from the oracle's fl(<w, fl(b - a)>), fused or not, by at most
-    band = 2 (m + 2) eps (M_i + M_j + cone_tol) per generator, where M_i
-    is the cloud maximum of |w| . |p| over F(x_i).  The threshold
-    arithmetic is inside that bound, which keeps a factor of two spare.
-    A row is decided at cone_tol + band, where "covered" implies the
-    oracle's verdict, and at cone_tol - band, where "not covered" does;
-    pairs on which the two disagree are re-decided by `setrel.covers`,
-    so every row equals the pairwise oracle bit for bit.  Each cloud is
-    cut to its minimal points in score space.  The covered test is a
-    staircase searchsorted per row with k <= 2 generators (a single
-    generator fills both slots) and, with k >= 3, a comparison of every
-    row point with every column point, one generator at a time, in chunks
-    of about _BLOCK_PAIRS pairs.  Scratch memory is O(B C) for a block of
-    B rows against C column points.
+    The test is the module docstring's; its band is 2 (m + 2) eps
+    (M_i + M_j + cone_tol) per generator, M_i the cloud maximum of
+    |w| . |p| over F(x_i).  The threshold arithmetic is inside that bound,
+    which keeps a factor of two spare.  A single generator fills both
+    staircase slots; with k >= 3 each row point meets each column point
+    one generator at a time, in chunks of about _BLOCK_PAIRS pairs.
+    Scratch memory is O(B C) for a block of B rows against C column points.
     """
 
     def __init__(self, problem: SetValuedProblem):
-        self.problem = weakref.proxy(problem)  # weak: the problem's cache holds this test
+        self.problem = weakref.proxy(problem)  # weak: the problem's memo holds this test
         cone, tol = problem.cone, problem.cone.cone_tol
         scores, mags = problem.cloud_scores, problem.cloud_magnitudes  # (R, k), (N, k)
         n = len(mags)
@@ -196,35 +188,20 @@ class _RowTest:
         return setrel.covers(problem.cloud(i), problem.cloud(j), problem.cone, strict=True)
 
 
-def _row_test(problem: SetValuedProblem) -> _RowTest:
-    """The problem's cached row test."""
-    test = problem._cache.get("row_test")
-    if test is None:
-        test = problem._cache["row_test"] = _RowTest(problem)
-    return test
-
-
 def domination_row(problem: SetValuedProblem, i: int) -> np.ndarray:
     """Row i of D, F(x_i) <l F(x_j) for every j, without building D."""
-    return _row_test(problem).block(np.array([i]), np.arange(len(problem.grid)))[0]
+    test = problem._derived("row_test", _RowTest)
+    return test.block(np.array([i]), np.arange(len(problem.grid)))[0]
 
 
 def domination_matrix(problem: SetValuedProblem) -> np.ndarray:
     """Boolean matrix D with D[i, j] true iff F(x_i) <l F(x_j).
 
     Every row comes from the row test, so D equals the pairwise oracle
-    `setrel.covers` bit for bit; only D itself is N x N.  This is the
-    oracle for `efficient_sets` and is off the production path.
+    `setrel.covers` bit for bit; D is built once per problem, read-only.
     """
-    cached = problem._cache.get("domination_matrix")
-    if cached is not None:
-        return cached
-    n = len(problem.grid)
-    d = np.empty((n, n), dtype=bool)
-    for i in range(n):
-        d[i] = domination_row(problem, i)
-    problem._cache["domination_matrix"] = d
-    return d
+    return problem._derived("domination_matrix", lambda p: np.array(
+        [domination_row(p, i) for i in range(len(p.grid))]))
 
 
 def _staircase_points(scores: np.ndarray, owner: np.ndarray) -> np.ndarray:
@@ -289,11 +266,6 @@ def _skyline_points(scores: np.ndarray, owner: np.ndarray) -> np.ndarray:
         dropped[b[at_or_below]] = True
         lo = hi
     return np.sort(order[alive[~dropped]])
-
-
-def _separation(problem: SetValuedProblem) -> float:
-    """delta = cone_tol / max_w <w, q>: the least psi drop strict domination forces."""
-    return problem.cone.cone_tol / problem.cone._unit_scores.max()
 
 
 def _next_reaching(reach: np.ndarray, bound: float, pos: int) -> int:
@@ -363,20 +335,20 @@ def efficient_sets(problem: SetValuedProblem) -> tuple[np.ndarray, np.ndarray]:
     """Sorted grid indices of the strict and of the weak efficient set.
 
     One psi-ordered sweep over the live columns (see the module
-    docstring); the sets equal those read off `domination_matrix`.
+    docstring), run once per problem; the sets, read-only, equal those
+    read off `domination_matrix`.
     """
-    cached = problem._cache.get("efficient_sets")
-    if cached is not None:
-        return cached
-    test = _row_test(problem)
-    cone, beta = problem.cone, test.beta
+    return problem._derived("efficient_sets", _efficient_sets)
+
+
+def _efficient_sets(problem: SetValuedProblem) -> tuple[np.ndarray, np.ndarray]:
+    test = problem._derived("row_test", _RowTest)
+    beta, tau = test.beta, problem.cone._tau
     psi = scalar_field(problem).values
-    n = len(psi)
     mu = problem.cloud_psi_bounds
-    tau = cone.cone_tol / cone._unit_scores.min()
     # D[i, j] implies reach[i] < top[j]
     top = psi + beta * mu
-    reach = psi + _separation(problem) - beta * (mu + tau)
+    reach = psi + problem.cone._delta - beta * (mu + tau)
 
     rows = np.argsort(psi, kind="stable")
     first = _sweep(test, rows, top, reach)
@@ -387,8 +359,8 @@ def efficient_sets(problem: SetValuedProblem) -> tuple[np.ndarray, np.ndarray]:
     # dominator f, which must then lie in j's window, and every later row
     # that dominates it.  A row i that can reach j has
     # psi_i <= top[j] - delta + beta (mu_i + tau), below reach_bound[j].
-    position = np.empty(n, dtype=int)
-    position[rows] = np.arange(n)
+    position = np.empty(len(psi), dtype=int)
+    position[rows] = np.arange(len(psi))
     ordered_psi = psi[rows]
     reach_bound = top + 2 * beta * (mu.max() + tau)
     covers = test.covers
@@ -398,11 +370,7 @@ def efficient_sets(problem: SetValuedProblem) -> tuple[np.ndarray, np.ndarray]:
         later = rows[position[f] + 1: np.searchsorted(ordered_psi, reach_bound[j], side="right")]
         later = later[reach[later] <= top[j]]
         weak[j] = covers(j, f) and all(not covers(i, j) or covers(j, i) for i in later)
-    result = (strict, np.flatnonzero(weak))
-    for indices in result:
-        indices.flags.writeable = False  # shared through the cache
-    problem._cache["efficient_sets"] = result
-    return result
+    return strict, np.flatnonzero(weak)
 
 
 def argmin_scalarized(problem: SetValuedProblem) -> np.ndarray:
@@ -413,7 +381,7 @@ def argmin_scalarized(problem: SetValuedProblem) -> np.ndarray:
     solve's argmin-in-strict inclusion holds by construction.
     """
     field = scalar_field(problem)
-    band = min(problem.tolerances.tie_tol, _separation(problem) / 2)
+    band = min(problem.tolerances.tie_tol, problem.cone._delta / 2)
     return np.flatnonzero(field.values <= field.inf_value + band)
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setopt import build_problem, check_asymptotic_gap, cli, fixtures, to_document
+from setopt import SetOptError, build_problem, check_asymptotic_gap, cli, fixtures, to_document
 from setopt.cli import _emit, _json_value, main
 from setopt.sampling import random_problem
 
@@ -532,3 +532,41 @@ def test_mutated_documents_exit_0_or_1(tmp_path_factory, data):
         code = main([command[0], str(path), *command[1:]])
     assert code in (0, 1), err.getvalue()
     assert (code == 0) == (err.getvalue() == "")
+
+
+def _overflowing_interval(cone_dim: int) -> dict:
+    # lower and upper are 1e307 x^2 and 1e307 x^2 + 1 on the grid -1, 0, ..., 10:
+    # finite but too large from x = 3 on, beyond the float maximum from x = 5 on
+    bound = lambda c: [{"fn": {"type": "quadratic", "a": 1e307, "b": 0.0, "c": c}}]
+    return {"schema_version": "1",
+            "cone": {"dual_generators": np.eye(cone_dim).tolist(), "q": [1.0] * cone_dim},
+            "domain": {"box": [[-1.0, 10.0]], "resolution": [12]},
+            "map": {"kind": "interval",
+                    "parameters": {"lower": bound(0.0), "upper": bound(1.0)}}}
+
+
+@pytest.mark.parametrize("cone_dim, message", [
+    # the magnitude bound fails at 3.0 before the map overflows at 5.0, as it
+    # does when the grid points are built one at a time
+    (1, "error: map value at grid point [3.0] is too large"),
+    # magnitudes are generator scores, so with the cone in another space only
+    # the non-finite cloud at 5.0 is a grid point error, and it comes before
+    # the dimension mismatch
+    (2, "error: point cloud at x=[5.0] must be finite"),
+])
+def test_the_build_names_the_first_failing_grid_point(tmp_path, capsys, cone_dim, message):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(_overflowing_interval(cone_dim)))
+    code, out, err = _run(capsys, ["solve", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith(message)
+
+
+def test_a_grid_point_at_a_time_fails_first_at_the_same_point():
+    doc = _overflowing_interval(1)
+    for x in (-1.0, 0.0, 1.0, 2.0):
+        doc["domain"] = {"points": [[x]]}
+        build_problem(doc)
+    doc["domain"] = {"points": [[3.0]]}
+    with pytest.raises(SetOptError, match=r"^map value at grid point \[3.0\] is too large"):
+        build_problem(doc)

@@ -197,3 +197,10 @@ def test_linear_forms_are_unfused_fixed_order_sums():
         assert stacked.tobytes() == got.tobytes()
         for i in (0, 7, 4999):  # one point takes the Python-float path
             assert linear_forms(points[i], W).tobytes() == got[i].tobytes()
+
+
+def test_delta_and_tau_are_cone_tol_over_the_extreme_unit_scores():
+    cone = ConeSpec(np.array([[0.8, 0.3], [0.1, 1.7]]), np.array([0.9, 0.6]), 3e-12)
+    units = [0.8 * 0.9 + 0.3 * 0.6, 0.1 * 0.9 + 1.7 * 0.6]
+    assert cone._delta.hex() == (3e-12 / max(units)).hex()
+    assert cone._tau.hex() == (3e-12 / min(units)).hex()

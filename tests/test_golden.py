@@ -13,7 +13,9 @@ holds and the fails verdict.
 The skew_cone document under documents/ has non-dyadic generators and
 cloud points, where a fused multiply-add rounds scores differently from
 the unfused fold every score goes through; its goldens are checked
-against scores recomputed in plain Python floats as well.
+against scores recomputed in plain Python floats as well.  The
+affine_cube document is the one three-dimensional domain: a 5 x 5 x 5
+box, so its rays and refinement rings span three axes.
 """
 
 import json
@@ -28,6 +30,7 @@ from conftest import unfused_forms
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SKEW_CONE = pathlib.Path(__file__).parent / "documents" / "skew_cone.json"
+AFFINE_CUBE = pathlib.Path(__file__).parent / "documents" / "affine_cube.json"
 
 LAMBDAS = {
     "decay_tail": "0.5",
@@ -131,6 +134,12 @@ def test_benchmark_sized_check_matches_golden(name, tmp_path, capsys):
 def test_skew_cone_matches_golden(command, capsys):
     out = _stdout([command, str(SKEW_CONE)], capsys)
     assert out == (GOLDEN / f"skew_cone.{command}.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["check", "asymptotic"])
+def test_affine_cube_matches_golden(command, capsys):
+    argv = [command, str(AFFINE_CUBE), *SUBCOMMANDS[command]("affine_cube")]
+    assert _stdout(argv, capsys) == (GOLDEN / f"affine_cube.{command}.json").read_bytes()
 
 
 def test_skew_cone_golden_values_are_plain_python_scores():

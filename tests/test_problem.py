@@ -1,16 +1,18 @@
 import copy
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from setopt import (DomainGrid, MapModel, ProblemValidationError, SetOptError, build_problem,
-                    check_colevel_compact_at, colevel, evaluate, evaluate_at,
-                    gerstewitz_many, global_inf, scalar_field, scalar_value_at, scalar_values_at,
-                    solve, to_document)
+from setopt import (DomainGrid, MapModel, ProblemValidationError, SetOptError, SetValuedProblem,
+                    build_problem, check_colevel_compact_at, colevel, efficient_sets, evaluate,
+                    evaluate_at, gerstewitz_many, global_inf, scalar_field, scalar_value_at,
+                    scalar_values_at, solve, to_document)
 from setopt import asymptotics, diagnostics, scalarizer
 from setopt import problem as problem_module
 from setopt.problem import REGION_TOL, first_failure
+from setopt.solver import domination_matrix
 from setopt import fixtures as fixture_catalog
 from setopt.cli import main
 
@@ -503,3 +505,59 @@ def test_table_clouds_are_read_in_one_pass_or_named_one_by_one(monkeypatch):
     with pytest.raises(ProblemValidationError, match=r"clouds\[3\] has points of dimension 1, "
                                                      r"but map.parameters.clouds\[0\] has 2"):
         MapModel(kind="table", params={"points": pts, "clouds": clouds[:3] + [[[1.0]]]})
+
+
+def _shared_arrays(prob) -> dict:
+    """Every array a problem hands out and keeps: its store and its derived artifacts."""
+    strict, weak = efficient_sets(prob)
+    return {
+        "cloud_points": prob.cloud_points,
+        "cloud_starts": prob.cloud_starts,
+        "cloud_scores": prob.cloud_scores,
+        "cloud_magnitudes": prob.cloud_magnitudes,
+        "cloud_psi_bounds": prob.cloud_psi_bounds,
+        "cloud(i)": prob.cloud(3),
+        "evaluate(...).points": evaluate(prob, prob.grid.points[3]).points,
+        "scalar_field(...).values": scalar_field(prob).values,
+        "domination_matrix": domination_matrix(prob),
+        "strict set": strict,
+        "weak set": weak,
+        "gap report trace": asymptotics.check_asymptotic_gap(prob).estimates[0].liminf_trace,
+    }
+
+
+@pytest.mark.parametrize("name", ["tradeoff_segment", "ramp_gap"])
+def test_every_array_a_problem_shares_is_read_only(name):
+    prob = fixture_catalog.build(name)
+    for label, array in _shared_arrays(prob).items():
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = array
+        assert not array.flags.writeable, label
+
+
+def test_an_edit_to_the_scalar_field_cannot_change_a_later_solve():
+    prob = fixture_catalog.build("ramp_gap")
+    first = solve(prob).to_dict(prob)
+    values = scalar_field(prob).values
+    with pytest.raises(ValueError, match="read-only"):
+        values -= values
+    assert solve(prob).to_dict(prob) == first
+
+
+def test_an_edit_to_an_evaluated_cloud_cannot_reach_the_store():
+    # the cloud is a view of the store, whose points covers reads and whose
+    # scores the row test reads; the two must not drift apart
+    prob = fixture_catalog.build("tradeoff_segment")
+    points = prob.cloud_points.copy()
+    cloud = evaluate(prob, [0.5]).points
+    with pytest.raises(ValueError, match="read-only"):
+        cloud += 100.0
+    np.testing.assert_array_equal(prob.cloud_points, points)
+
+
+def test_the_memo_is_not_a_constructor_argument(tradeoff):
+    assert "_cache" not in inspect.signature(SetValuedProblem).parameters
+    with pytest.raises(TypeError):
+        SetValuedProblem(grid=tradeoff.grid, map_model=tradeoff.map_model, cone=tradeoff.cone,
+                         _cache={})
+

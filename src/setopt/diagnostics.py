@@ -131,6 +131,12 @@ def _probe_offsets(d: int, r: float) -> np.ndarray:
     return np.vstack([r * ring, 0.5 * r * ring])
 
 
+def _refinement_offsets(problem: SetValuedProblem) -> np.ndarray:
+    """The probe offsets of every sub-step radius, stacked radius by radius."""
+    radii = float(problem.grid.step_estimate().max()) * np.asarray(_REFINE_LEVELS)
+    return np.stack([_probe_offsets(problem.grid.dim_domain, float(r)) for r in radii])
+
+
 def _refine(problem: SetValuedProblem, X0: np.ndarray, level: float,
             restrict_norm: float | None) -> list[tuple[str | None, list[float]]]:
     """Refine below the grid step around each row of X0; a (verdict, minima trace) per row.
@@ -146,8 +152,7 @@ def _refine(problem: SetValuedProblem, X0: np.ndarray, level: float,
     if not problem.map_model.is_analytic:
         return [("unresolved", [])] * len(X0)
     d = X0.shape[1]
-    radii = float(problem.grid.step_estimate().max()) * np.asarray(_REFINE_LEVELS)
-    probes = X0[:, None, None, :] + np.stack([_probe_offsets(d, float(r)) for r in radii])
+    probes = X0[:, None, None, :] + problem._derived("refinement_offsets", _refinement_offsets)
     inside = _domain_mask(problem, probes.reshape(-1, d), restrict_norm).reshape(probes.shape[:3])
     values = np.full(inside.shape, np.inf)  # a probe outside the domain never lowers a minimum
     values[inside] = scalar_values_at(problem, probes[inside])
@@ -187,8 +192,15 @@ def check_regular_global_inf(problem: SetValuedProblem,
     A witness is a point whose own value sits above the infimum while
     arbitrarily small punctured neighborhoods keep reaching it: the grid
     signature is a collar point of the near-infimum set that does not
-    dissolve under sub-step refinement.
+    dissolve under sub-step refinement.  The unrestricted verdict is
+    computed once per problem, its evidence read-only.
     """
+    if restrict_norm is None:
+        return problem._derived("regular_global_inf", _regular_global_inf)
+    return _regular_global_inf(problem, restrict_norm)
+
+
+def _regular_global_inf(problem: SetValuedProblem, restrict_norm: float | None = None) -> Verdict:
     pts = problem.grid.points
     inside = _domain_mask(problem, pts, restrict_norm)
     if inside.sum() < 2:
@@ -305,8 +317,15 @@ def check_coercivity(problem: SetValuedProblem, lam_probe: float | None = None) 
     Relative compactness is implemented as boundedness, and boundedness on
     a sampled box as lying at least one grid step inside every face.  A
     grid cannot certify unboundedness, hence inconclusive without box
-    metadata.
+    metadata.  The verdict at the default lam_probe is computed once per
+    problem, its evidence read-only.
     """
+    if lam_probe is None:
+        return problem._derived("coercivity", _coercivity)
+    return _coercivity(problem, lam_probe)
+
+
+def _coercivity(problem: SetValuedProblem, lam_probe: float | None = None) -> Verdict:
     field = scalar_field(problem)
     m = field.inf_value
     if lam_probe is None:

@@ -29,8 +29,13 @@ Building a problem evaluates the map at all grid points in one call, into
 the store that every grid-side layer reads instead of evaluating again.
 This module is the one home of the store's layout (`_runs` gathers clouds
 from a stack), its total bound (MAX_CLOUD_POINTS, checked before it is
-allocated) and its magnitude bounds (`_magnitudes`, met off the grid too,
-where `_check_magnitudes` decides most batches by one bound).
+allocated), its magnitude bounds (`_magnitudes`, met off the grid too,
+where `_check_magnitudes` decides most batches by one bound) and its one
+scratch bound (SCRATCH_POINTS): every pass over a stack of clouds whose
+temporaries would grow with it (the magnitude gate and the scores of the
+build, psi per cloud, the off-grid read, the colevel relation, the row
+test's cut and its blocks) runs over `_chunks` of whole clouds of at most
+that many points, so its scratch stays bounded however large the store.
 """
 
 from __future__ import annotations
@@ -63,6 +68,14 @@ MAX_GRID_POINTS = 10**6
 # 360-point rings of `shifted_disc` on a 101 x 101 grid.  No single cloud
 # may hold more.
 MAX_CLOUD_POINTS = 4 * MAX_GRID_POINTS
+
+# The most cloud points whose scratch one pass over a stack of clouds holds at
+# once: the pass runs over `_chunks` of whole clouds (see the module
+# docstring).  Each step of such a pass is elementwise or a reduction per
+# cloud, so the chunks change no bit, and a failing cloud is still the first
+# one named.  Chunks of this size also run faster than a whole stack of many
+# of them, and than chunks of a thousand or two points, which pay per call.
+SCRATCH_POINTS = 2**14
 
 # Largest grid coordinate: norms of and distances between grid points,
 # sums of squares, stay finite well beyond it.
@@ -348,6 +361,24 @@ def _runs(starts: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray
     to end, and where each run begins in them: the gather of clouds from a stack."""
     offsets = _starts(sizes)
     return np.arange(int(sizes.sum())) + np.repeat(starts - offsets, sizes), offsets
+
+
+def _chunks(starts: np.ndarray, total: int):
+    """The stack of `total` points with cloud c from row starts[c] on, in runs of whole
+    clouds of at most SCRATCH_POINTS points each, or of one larger cloud.
+
+    Yields per run its clouds and its rows, as slices, and where each of its
+    clouds starts within its rows.
+    """
+    first = 0
+    while first < len(starts):
+        # the run ends before the first cloud that ends beyond limit
+        limit = int(starts[first]) + SCRATCH_POINTS
+        stop = len(starts) if total <= limit else max(
+            first + 1, int(starts.searchsorted(limit, "right")) - 1)
+        rows = slice(int(starts[first]), total if stop == len(starts) else int(starts[stop]))
+        yield slice(first, stop), rows, starts[first:stop] - rows.start
+        first = stop
 
 
 def _read_point(value, path: str):
@@ -737,19 +768,24 @@ def _magnitudes(cone: ConeSpec, points: np.ndarray, starts: np.ndarray, X: np.nd
     Twice every |p|, every |w| . |p| and every |w| . |p| / <w, q> must
     stay finite, so that point differences, scores, score differences and
     psi with its rounding slack cannot overflow; else this raises, naming
-    the row of X (a `where`) of the first cloud that does not.
+    the row of X (a `where`) of the first cloud that does not.  The stack
+    is read in `_chunks`.
     """
-    abs_points = np.abs(points)
-    with np.errstate(over="ignore"):
-        mags = np.maximum.reduceat(linear_forms(abs_points, np.abs(cone.dual_generators)), starts)
-        psi_bounds = fold_columns(np.maximum, mags / cone._unit_scores)
-    coords = fold_columns(np.maximum, np.maximum.reduceat(abs_points, starts))
-    half = np.finfo(float).max / 2
-    large = np.maximum(np.maximum(fold_columns(np.maximum, mags), coords), psi_bounds) > half
-    if large.any():
-        raise ProblemValidationError(
-            f"map value at {where} {X[np.argmax(large)].tolist()} is too large: coordinates, "
-            f"generator scores and generator scores over <w, q> must not exceed {half:g}")
+    weights, half = np.abs(cone.dual_generators), np.finfo(float).max / 2
+    mags, psi_bounds = np.empty((len(starts), len(weights))), np.empty(len(starts))
+    for clouds, rows, at in _chunks(starts, len(points)):
+        abs_points = np.abs(points[rows])
+        with np.errstate(over="ignore"):
+            mags[clouds] = np.maximum.reduceat(linear_forms(abs_points, weights), at)
+            psi_bounds[clouds] = fold_columns(np.maximum, mags[clouds] / cone._unit_scores)
+        coords = fold_columns(np.maximum, np.maximum.reduceat(abs_points, at))
+        large = np.maximum(np.maximum(fold_columns(np.maximum, mags[clouds]), coords),
+                           psi_bounds[clouds]) > half
+        if large.any():
+            raise ProblemValidationError(
+                f"map value at {where} {X[clouds.start + np.argmax(large)].tolist()} is too "
+                f"large: coordinates, generator scores and generator scores over <w, q> must "
+                f"not exceed {half:g}")
     return mags, psi_bounds
 
 
@@ -779,11 +815,12 @@ def _check_magnitudes(cone: ConeSpec, points: np.ndarray, starts: np.ndarray, X:
 
 
 def _read_only(value):
-    """value, with every array in it, through tuples, lists and dataclasses, read-only."""
+    """value, with every array in it, through tuples, lists, dict values and dataclasses,
+    read-only."""
     if isinstance(value, np.ndarray):
         value.setflags(write=False)
-    elif isinstance(value, (tuple, list)):
-        for item in value:
+    elif isinstance(value, (tuple, list, dict)):
+        for item in value.values() if isinstance(value, dict) else value:
             _read_only(item)
     elif is_dataclass(value):
         for item in vars(value).values():
@@ -800,11 +837,12 @@ class SetValuedProblem:
     generator scores <w_j, p> of those rows in `cloud_scores`, and from
     `_magnitudes`, per cloud the maximum of |w_j| . |p| in
     `cloud_magnitudes` and the bound on |psi| in `cloud_psi_bounds`.
-    Artifacts derived from it (scalar field, row test, efficient sets,
-    domination matrix, gap report) live in one memo, built on first use by
-    `_derived`, the only code that touches it.  All that a problem shares
-    is read-only: the store, so every `cloud(i)`, and each artifact's
-    arrays; only the memo's dict of off-grid scalar values grows.
+    Artifacts derived from it (the store's chunks, scalar field, row test,
+    efficient sets, domination matrix, gap report, default rgi and
+    coercivity verdicts, refinement offsets) live in one memo, built on
+    first use by `_derived`, the only code that touches it.  All that a
+    problem shares is read-only: the store, so every `cloud(i)`, and each
+    artifact's arrays; only the memo's dict of off-grid scalar values grows.
     """
 
     grid: DomainGrid
@@ -832,7 +870,9 @@ class SetValuedProblem:
             raise ProblemValidationError(f"map image dimension {map_model.dim_image} does not "
                                          f"match cone dimension {cone.dim_image}")
         self.cloud_magnitudes, self.cloud_psi_bounds = bounds
-        self.cloud_scores = linear_forms(self.cloud_points, cone.dual_generators)
+        self.cloud_scores = np.empty((len(self.cloud_points), len(cone.dual_generators)))
+        for _, rows, _ in self._store_chunks():
+            self.cloud_scores[rows] = linear_forms(self.cloud_points[rows], cone.dual_generators)
         _read_only((self.cloud_points, self.cloud_starts, self.cloud_scores,
                     self.cloud_magnitudes, self.cloud_psi_bounds))
 
@@ -840,6 +880,10 @@ class SetValuedProblem:
         """The points of the cloud at grid index i, a read-only view of `cloud_points`."""
         starts = self.cloud_starts
         return self.cloud_points[starts[i]: starts[i + 1] if i + 1 < len(starts) else None]
+
+    def _store_chunks(self) -> list:
+        """The store's `_chunks`, laid out once."""
+        return self._derived("chunks", lambda p: list(_chunks(p.cloud_starts, len(p.cloud_points))))
 
     def _derived(self, key, build: Callable):
         """The memo's artifact under key: build(self) on first use only, arrays read-only."""

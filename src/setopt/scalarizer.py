@@ -10,7 +10,8 @@ One reduction, `_least_ratios`, gives psi per cloud from the store's scores on
 the grid and from fresh `cone.linear_forms` scores off it (analytic kinds only),
 so a value has the same bits in any batch.  `scalar_values_at` keeps the value
 of each point it evaluates (a float, never the cloud, keyed by its float64
-bytes) and sends the points it misses to the map in one batch call.
+bytes) and sends the points it misses to the map in batches of at most
+`problem.SCRATCH_POINTS` cloud points.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cone as _cone
+from . import problem as _problem
 from .errors import InternalConsistencyError, ProblemValidationError
-from .problem import MAX_CLOUD_POINTS, SetValuedProblem, _check_magnitudes, first_failure
+from .problem import SetValuedProblem, _check_magnitudes, _chunks, first_failure
 
 __all__ = ["ScalarField", "scalar_field", "scalar_value", "scalar_value_at", "scalar_values_at",
            "global_inf", "colevel", "colevel_points"]
@@ -60,9 +62,10 @@ def scalar_values_at(problem: SetValuedProblem, X) -> np.ndarray:
     """Scalarization at the rows of an (n, d) array of domain points; analytic kinds only.
 
     The value is kept per point, so each point is evaluated once per
-    problem.  The points not kept yet are evaluated in one call to the
-    map, split only so that no call holds more cloud points than a problem
-    may store.  A failing point raises the error of the first one in X.
+    problem.  The points not kept yet are sent to the map in order, in
+    calls of at most `problem.SCRATCH_POINTS` cloud points (one point per
+    call if its cloud may hold more).  A failing point raises the error of
+    the first one in X.
     """
     if not problem.map_model.is_analytic:
         raise ProblemValidationError("table maps cannot be evaluated off the grid")
@@ -77,7 +80,7 @@ def scalar_values_at(problem: SetValuedProblem, X) -> np.ndarray:
         if key not in memo:
             new.setdefault(key, i)
     fresh, rows = list(new), X[list(new.values())]
-    step = max(1, MAX_CLOUD_POINTS // problem.map_model.largest_cloud)
+    step = max(1, _problem.SCRATCH_POINTS // problem.map_model.largest_cloud)
     for lo in range(0, len(rows), step):
         values = first_failure(lambda Y: _cloud_minima(problem, Y), rows[lo:lo + step])
         memo.update(zip(fresh[lo:lo + step], values.tolist()))
@@ -86,7 +89,11 @@ def scalar_values_at(problem: SetValuedProblem, X) -> np.ndarray:
 
 def _least_ratios(cone: _cone.ConeSpec, scores: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Per cloud of a stack, the least score ratio <w, p> / <w, q>: its psi value."""
-    return np.minimum.reduceat(_cone.fold_columns(np.minimum, scores / cone._unit_scores), starts)
+    psi = np.empty(len(starts))
+    for clouds, rows, at in _chunks(starts, len(scores)):
+        ratios = _cone.fold_columns(np.minimum, scores[rows] / cone._unit_scores)
+        psi[clouds] = np.minimum.reduceat(ratios, at)
+    return psi
 
 
 def _cloud_minima(problem: SetValuedProblem, X: np.ndarray) -> np.ndarray:
@@ -125,8 +132,11 @@ def colevel(problem: SetValuedProblem, lam: float) -> np.ndarray:
     cone = problem.cone
     with np.errstate(over="ignore"):
         probe = lam * cone._unit_scores
-    above = _cone.fold_columns(np.logical_and, problem.cloud_scores - probe > cone.cone_tol)
-    by_relation = ~np.logical_and.reduceat(above, problem.cloud_starts)
+    by_relation = np.empty(len(field.values), dtype=bool)
+    for clouds, rows, at in problem._store_chunks():
+        scores = problem.cloud_scores[rows]
+        above = _cone.fold_columns(np.logical_and, scores - probe > cone.cone_tol)
+        by_relation[clouds] = ~np.logical_and.reduceat(above, at)
 
     band = 2.0 * tie + cone._tau
     disagree = np.flatnonzero(by_field != by_relation)

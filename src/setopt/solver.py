@@ -81,7 +81,9 @@ dominator lies in its own window is checked further, with
 `setrel.covers`, against the rows visited after that dominator that can
 reach it.  With the default cone_tol that happens only for clouds whose
 scores are some hundreds or more; for the rest the weak set equals the
-strict set at no cost.  Memory is O(N + R) plus one block's scratch;
+strict set at no cost.  Memory is O(N + R) plus one block's scratch,
+which `problem.SCRATCH_POINTS` bounds: the cut runs over the store's
+chunks, and a block's columns go in runs of at most that many points;
 time is one kernel call per block over the live windows.
 
 `domination_matrix` builds D itself, N x N, one row at a time with the
@@ -98,9 +100,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import problem as _problem
 from . import setrel
 from .errors import InternalConsistencyError
-from .problem import SetValuedProblem, _runs, _starts
+from .problem import SetValuedProblem, _chunks, _runs, _starts
 from .scalarizer import scalar_field
 
 # The most point pairs one step compares at once: a sweep block's rows
@@ -118,45 +121,68 @@ class _RowTest:
     which keeps a factor of two spare.  A single generator fills both
     staircase slots; with k >= 3 each row point meets each column point
     one generator at a time, in chunks of about _BLOCK_PAIRS pairs.
-    Scratch memory is O(B C) for a block of B rows against C column points.
+    Scratch memory is O(B C) for a block of B rows against C column points,
+    C at most SCRATCH_POINTS unless one column cloud holds more.
     """
 
     def __init__(self, problem: SetValuedProblem):
         self.problem = weakref.proxy(problem)  # weak: the problem's memo holds this test
         cone, tol = problem.cone, problem.cone.cone_tol
         scores, mags = problem.cloud_scores, problem.cloud_magnitudes  # (R, k), (N, k)
-        n = len(mags)
-        owner = np.repeat(np.arange(n), np.diff(problem.cloud_starts, append=len(scores)))
-        self.staircase = scores.shape[1] <= 2
-        if scores.shape[1] == 1:
-            scores = np.repeat(scores, 2, axis=1)
-            mags = np.repeat(mags, 2, axis=1)
+        k = scores.shape[1]
+        self.staircase = k <= 2
+        def wide(a):  # a single generator fills both staircase slots
+            return np.repeat(a, 2, axis=1) if k == 1 else a
+        mags = wide(mags)
         # Only the minimal points of a cloud in score space matter on either
         # side: a dominated b is covered whenever the point below it is, and a
-        # dominated a witnesses nothing the point below it does not.
-        keep = (_staircase_points if self.staircase else _skyline_points)(scores, owner)
-        scores, owner = scores.take(keep, axis=0), owner[keep]  # take: a fast row gather
-        sizes = np.bincount(owner, minlength=n)
-        starts = _starts(sizes)
-        if self.staircase:
-            # cloud i's staircase: first score ascending, second strictly
-            # descending, and in `second` preceded by +inf for "no point of A
-            # is low enough"
-            self.first = scores[:, 0]
-            self.second = np.insert(scores[:, 1], starts, np.inf)
-        self.scores, self.sizes, self.starts = scores, sizes, starts
+        # dominated a witnesses nothing the point below it does not.  The cut
+        # goes over the store's chunks, each on its own.
+        cut = _staircase_points if self.staircase else _skyline_points
+        self.sizes, kept = np.empty(len(mags), dtype=np.intp), []
+        for clouds, rows, at in problem._store_chunks():
+            owner = np.repeat(np.arange(len(at)), np.diff(at, append=rows.stop - rows.start))
+            keep = cut(wide(scores[rows]), owner)
+            self.sizes[clouds] = np.bincount(owner[keep], minlength=len(at))
+            kept.append(keep + rows.start)
+        self.starts = _starts(self.sizes)
         beta = self.beta = 2 * (cone.dim_image + 2) * np.finfo(float).eps
         # thresholds[b, pass, generator] for pass 0 at cone_tol + band (covered
         # implies the oracle's verdict) and pass 1 at cone_tol - band (not
         # covered implies it); the row's half of the band is added per row
-        col_band = (beta * (mags + tol)).take(owner, axis=0)
-        base = scores - tol
-        self.thresholds = np.stack([base - col_band, base + col_band], axis=1)
+        self.scores = np.empty((int(self.sizes.sum()), mags.shape[1]))
+        self.thresholds = np.empty((len(self.scores), 2, mags.shape[1]))
+        cloud_band = beta * (mags + tol)
+        for (clouds, _, _), keep in zip(problem._store_chunks(), kept):
+            at = slice(self.starts[clouds.start], self.starts[clouds.start] + len(keep))
+            self.scores[at] = wide(scores.take(keep, axis=0))  # take: a fast row gather
+            col_band = cloud_band[clouds].repeat(self.sizes[clouds], axis=0)
+            base = self.scores[at] - tol
+            np.subtract(base, col_band, out=self.thresholds[at, 0])
+            np.add(base, col_band, out=self.thresholds[at, 1])
         self.row_band = np.array([-beta, beta])[None, :, None] * mags[:, None, :]
+        if self.staircase:
+            # cloud i's staircase: first score ascending, second strictly
+            # descending, and in `second` preceded by +inf for "no point of A
+            # is low enough"
+            self.first = self.scores[:, 0]
+            self.second = np.insert(self.scores[:, 1], self.starts, np.inf)
 
-    def block(self, rows: np.ndarray, cols: np.ndarray, pairs=True) -> np.ndarray:
+    def block(self, rows: np.ndarray, cols: np.ndarray, pairs: np.ndarray) -> np.ndarray:
         """D[rows, cols] where the boolean (len(rows), len(cols)) `pairs` is
-        true, false elsewhere; rows and cols are nonempty index arrays."""
+        true, false elsewhere; rows and cols are nonempty index arrays.
+
+        The column points go in `problem._chunks`, so a single row against
+        many columns holds the scratch of SCRATCH_POINTS of them at most.
+        """
+        sizes = self.sizes[cols]
+        total = int(sizes.sum())
+        if total <= _problem.SCRATCH_POINTS:
+            return self._block(rows, cols, pairs)
+        return np.concatenate([self._block(rows, cols[part], pairs[:, part])
+                               for part, _, _ in _chunks(_starts(sizes), total)], axis=1)
+
+    def _block(self, rows: np.ndarray, cols: np.ndarray, pairs: np.ndarray) -> np.ndarray:
         points, offsets = _runs(self.starts[cols], self.sizes[cols])
         t = self.thresholds.take(points, axis=0) + self.row_band[rows, None]  # (B, C, 2, k)
         covered = np.zeros(t.shape[:3], dtype=bool)
@@ -191,7 +217,8 @@ class _RowTest:
 def domination_row(problem: SetValuedProblem, i: int) -> np.ndarray:
     """Row i of D, F(x_i) <l F(x_j) for every j, without building D."""
     test = problem._derived("row_test", _RowTest)
-    return test.block(np.array([i]), np.arange(len(problem.grid)))[0]
+    n = len(problem.grid)
+    return test.block(np.array([i]), np.arange(n), np.ones((1, n), dtype=bool))[0]
 
 
 def domination_matrix(problem: SetValuedProblem) -> np.ndarray:

@@ -172,6 +172,39 @@ def test_coercivity_reads_each_colevel_set_once(decay, monkeypatch):
     assert calls == verdict.evidence["probed_lambdas"]
 
 
+def test_default_rgi_and_coercivity_verdicts_are_computed_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    for name in ("_regular_global_inf", "_coercivity"):
+        real = getattr(diagnostics, name)
+        monkeypatch.setattr(diagnostics, name, lambda problem, arg=None, real=real, name=name:
+                            calls.append((name, arg)) or real(problem, arg))
+    path = tmp_path / "shifted_disc.json"
+    path.write_text(json.dumps(fixture_catalog.document("shifted_disc", samples=72)))
+    assert main(["check", str(path), "--all", "--rgi", "--coercivity", "--gap",
+                 "--compact-at=1,0"]) == 0
+    capsys.readouterr()
+    # the report, --rgi, --coercivity and --compact-at share the two default verdicts;
+    # each norm ball of the report gets its own
+    assert calls.count(("_regular_global_inf", None)) == 1
+    assert calls.count(("_coercivity", None)) == 1
+    assert {arg for name, arg in calls if name == "_regular_global_inf"} == {None, 1.0, 2.0, 3.0}
+    prob = fixture_catalog.build("shifted_disc", samples=72)
+    assert check_regular_global_inf(prob) is existence_report(prob).regular_global_inf
+    assert check_coercivity(prob) is existence_report(prob).coercivity
+    assert check_coercivity(prob, 1.5) is not check_coercivity(prob, 1.5)
+
+
+def test_refinement_offsets_are_built_once_per_problem(monkeypatch):
+    radii = []
+    real = diagnostics._probe_offsets
+    monkeypatch.setattr(diagnostics, "_probe_offsets", lambda d, r: radii.append(r) or real(d, r))
+    prob = fixture_catalog.build("decay_tail")
+    existence_report(prob)
+    check_transfer_closed(prob)
+    step = float(prob.grid.step_estimate().max())
+    assert radii == [step * level for level in diagnostics._REFINE_LEVELS]
+
+
 def test_refine_verdicts(decay):
     level = scalar_field(decay).inf_value + diagnostics._margin(decay)
     (at_zero, _), (at_five, _) = diagnostics._refine(decay, np.array([[0.0], [5.0]]), level, None)

@@ -24,6 +24,7 @@ import pathlib
 import pytest
 
 from setopt import fixtures
+from setopt import problem as problem_module
 from setopt.cli import main
 
 from conftest import unfused_forms
@@ -140,6 +141,44 @@ def test_skew_cone_matches_golden(command, capsys):
 def test_affine_cube_matches_golden(command, capsys):
     argv = [command, str(AFFINE_CUBE), *SUBCOMMANDS[command]("affine_cube")]
     assert _stdout(argv, capsys) == (GOLDEN / f"affine_cube.{command}.json").read_bytes()
+
+
+def _every_golden(fixture_dir, tmp_path) -> list:
+    """(argv, golden file) of every test above."""
+    cases = []
+    for name in sorted(fixtures.FIXTURES):
+        path = str(fixture_dir / f"{name}.json")
+        cases.append((["solve", path], f"{name}.solve.json"))
+        cases += [([command, path, *args(name)], f"{name}.{command}.json")
+                  for command, args in SUBCOMMANDS.items()]
+        if name in COMPACT_AT:
+            cases.append((["check", path, f"--compact-at={COMPACT_AT[name]}"],
+                          f"{name}.compact_at.json"))
+        if name in DIRECTIONS:
+            cases.append((["asymptotic", path, *DIRECTIONS[name]], f"{name}.directions.json"))
+    cases.append((["oracle", "random", "--seed", "7", "--count", "200"], "oracle.random.json"))
+    for name, (fixture, kwargs, resolution) in BENCHMARK_SIZED.items():
+        doc = fixtures.document(fixture, **kwargs)
+        doc["domain"]["resolution"] = resolution
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        cases.append((["check", str(path), "--all", "--transfer"], f"{name}.check.json"))
+    cases += [([command, str(SKEW_CONE)], f"skew_cone.{command}.json")
+              for command in ("scalarize", "solve")]
+    cases += [([command, str(AFFINE_CUBE), *SUBCOMMANDS[command]("affine_cube")],
+               f"affine_cube.{command}.json") for command in ("check", "asymptotic")]
+    return cases
+
+
+@pytest.mark.parametrize("bound", [1, 3, 7])
+def test_every_golden_at_a_few_points_of_scratch(bound, fixture_dir, tmp_path, capsys,
+                                                 monkeypatch):
+    # nearly every cloud a chunk of its own, most of them larger than one
+    monkeypatch.setattr(problem_module, "SCRATCH_POINTS", bound)
+    cases = _every_golden(fixture_dir, tmp_path)
+    assert len(cases) == len(list(GOLDEN.iterdir()))
+    for argv, golden in cases:
+        assert _stdout(argv, capsys) == (GOLDEN / golden).read_bytes(), argv
 
 
 def test_skew_cone_golden_values_are_plain_python_scores():

@@ -523,6 +523,8 @@ def _shared_arrays(prob) -> dict:
         "strict set": strict,
         "weak set": weak,
         "gap report trace": asymptotics.check_asymptotic_gap(prob).estimates[0].liminf_trace,
+        "rgi evidence": diagnostics.check_regular_global_inf(prob).evidence["refinement_radii"],
+        "coercivity evidence": diagnostics.check_coercivity(prob).evidence["colevel_points"],
     }
 
 

@@ -18,8 +18,9 @@ does not.  So each cloud is cut to its minimal points first, keeping one
 of equal points.  With k <= 2 the cut is a staircase (Kung, Luccio &
 Preparata, J. ACM 1975), sorted by the first score with the prefix
 minimum of the second, and one searchsorted per row decides every point
-of every column, O(R log p); the cut takes three sorts, the ranks of the
-second score coming from one stable argsort, and one running minimum.
+of every column, O(R log p); the cut sorts each cloud as one row of a
+rectangle padded with +inf, of at most SCRATCH_POINTS cells, and takes
+one running minimum along each row.
 With k >= 3 the cut is a sort-filter skyline (Chomicki, Godfrey, Gryz &
 Liang, ICDE 2003), and every row point is compared with every column
 point, generator by generator.  The kernel compares differences of
@@ -142,7 +143,7 @@ class _RowTest:
         self.sizes, kept = np.empty(len(mags), dtype=np.intp), []
         for clouds, rows, at in problem._store_chunks():
             owner = np.repeat(np.arange(len(at)), np.diff(at, append=rows.stop - rows.start))
-            keep = cut(wide(scores[rows]), owner)
+            keep = cut(scores[rows], owner)
             self.sizes[clouds] = np.bincount(owner[keep], minlength=len(at))
             kept.append(keep + rows.start)
         self.starts = _starts(self.sizes)
@@ -236,26 +237,29 @@ def _staircase_points(scores: np.ndarray, owner: np.ndarray) -> np.ndarray:
 
     Grouped by cloud; within a cloud the first score ascends and the second
     strictly descends.  Ties and duplicates keep the first point by index.
-    Three sorts: one stable argsort of the second score gives its ranks,
-    equal scores sharing one, and its order; a stable argsort of the first
-    score in that order gives the order of (first, second, index), and an
-    integer argsort groups it by cloud.
+    A single score column serves as both; `owner` numbers the clouds 0, 1,
+    ... in stack order.  Runs of whole clouds are laid out as the rows of a
+    rectangle padded with +inf, of at most SCRATCH_POINTS cells, or of one
+    larger cloud alone; each row is sorted stably by (first, second), and a
+    point is kept iff its second score is below every one before it.
     """
-    n = len(owner)
-    by_second = np.argsort(scores[:, 1], kind="stable")
-    second = scores[by_second, 1]
-    tied = np.concatenate(([False], second[1:] == second[:-1]))  # -0.0 ties 0.0
-    rank = np.empty(n, dtype=np.intp)
-    rank[by_second] = np.maximum.accumulate(np.where(tied, 0, np.arange(n)))
-    by_first = by_second[np.argsort(scores[by_second, 0], kind="stable")]
-    place = np.empty(n, dtype=np.intp)
-    place[by_first] = np.arange(n)
-    order = np.argsort(owner * n + place)  # distinct keys: no stability needed
-    # Integer ranks keep comparisons exact; lifting every earlier cloud by a
-    # whole rank range lets one running minimum restart at each cloud.
-    key = rank[order] + (owner.max() - owner[order]) * (n + 1)
-    before = np.concatenate(([np.iinfo(key.dtype).max], np.minimum.accumulate(key)[:-1]))
-    return order[key < before]
+    sizes, bound, kept, lo = np.bincount(owner), _problem.SCRATCH_POINTS, [], 0
+    starts = _starts(sizes)
+    while lo < len(sizes):
+        # the most clouds from lo whose count times largest size fits the bound
+        width = np.maximum.accumulate(sizes[lo: lo + bound])
+        hi = lo + max(1, int(np.searchsorted(width * np.arange(1, len(width) + 1), bound, "right")))
+        at = starts[lo:hi, None]
+        cells = at + np.arange(width[hi - lo - 1])
+        pad = cells >= at + sizes[lo:hi, None]
+        first, second = (np.where(pad, np.inf, scores[:, g].take(cells, mode="clip")) for g in (0, -1))
+        order = np.lexsort((second, first), axis=-1)  # stable: ties keep index order
+        second = np.take_along_axis(second, order, axis=-1)
+        before = np.full_like(second, np.inf)  # the least second score before each cell
+        np.minimum.accumulate(second[:, :-1], axis=-1, out=before[:, 1:])
+        kept.append((order + at)[second < before])  # -0.0 ties 0.0
+        lo = hi
+    return np.concatenate(kept)
 
 
 def _skyline_points(scores: np.ndarray, owner: np.ndarray) -> np.ndarray:

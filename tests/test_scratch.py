@@ -143,3 +143,24 @@ def test_each_pass_holds_bounded_scratch_on_a_large_store():
     assert len(prob.cloud_points) == 158_760
     for label, size in transients.items():
         assert size < 2 * 2**20, (label, size)
+
+
+def test_the_row_test_cut_holds_bounded_scratch_on_a_ragged_store():
+    # 384 one-point clouds and one of 16,000 points: a single store chunk of
+    # 16,384 points, which one padded clouds x points rectangle would spread
+    # over 385 x 16,000 cells
+    rng = np.random.default_rng(5)
+    points = [[float(i)] for i in range(385)]
+    clouds = [[p] for p in rng.uniform(-5.0, 5.0, (384, 2)).tolist()]
+    clouds.append(rng.uniform(-5.0, 5.0, (16_000, 2)).tolist())
+    prob = build_problem({"cone": {"dual_generators": np.eye(2).tolist(), "q": [1.0, 1.0]},
+                          "domain": {"points": points},
+                          "map": {"kind": "table", "parameters": {"points": points,
+                                                                  "clouds": clouds}}})
+    assert len(prob._store_chunks()) == 1
+    tracemalloc.start()
+    try:
+        _, transient = _traced(lambda: prob._derived("row_test", solver._RowTest))
+    finally:
+        tracemalloc.stop()
+    assert transient < 2 * 2**20, transient

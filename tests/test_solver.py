@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from setopt import (ConeSpec, DomainGrid, MapModel, ProblemValidationError, SetValuedProblem,
                     argmin_scalarized, build_problem, fixtures, scalar_field, scalar_value_at,
                     setrel, solve, solver, strictly_lower_less, to_document)
+from setopt import problem as problem_module
 from setopt.cli import main
 from setopt.sampling import random_cone, random_problem
 from setopt.solver import domination_matrix, efficient_sets
@@ -404,6 +405,53 @@ def test_staircase_cut_keeps_each_clouds_first_minimal_points():
             assert (owner[got][1:] >= owner[got][:-1]).all()
             assert (scores[got[1:], 0] > scores[got[:-1], 0])[same].all()
             assert (scores[got[1:], 1] < scores[got[:-1], 1])[same].all()
+
+
+def _first_minimal_points(scores, owner) -> list:
+    """Brute force: the points with no other point of their cloud at or below
+    them in every score, but for an equal point earlier by index."""
+    return [b for b in range(len(owner))
+            if not any(a != b and (scores[a] <= scores[b]).all()
+                       and ((scores[a] < scores[b]).any() or a < b)
+                       for a in np.flatnonzero(owner == owner[b]))]
+
+
+@pytest.mark.parametrize("bound", [1, 3, 7, None])
+def test_staircase_cut_matches_brute_force_across_scratch_bounds(bound, monkeypatch):
+    if bound is not None:
+        monkeypatch.setattr(problem_module, "SCRATCH_POINTS", bound)
+    bound = problem_module.SCRATCH_POINTS
+    shapes = []
+    real_lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys, axis=-1: shapes.append(
+        np.shape(keys[0])) or real_lexsort(keys, axis=axis))
+    rng = np.random.default_rng(17)
+    # ragged runs: one-point clouds, a cloud larger than the small bounds,
+    # clouds of a single repeated point
+    layouts = [rng.integers(1, 12, 25), np.ones(9, dtype=int), [9, 1, 2, 1, 1, 20, 3],
+               [1, 30, 1, 1, 6, 6, 2]]
+    for sizes in layouts:
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        for k in (1, 2):
+            scores = rng.integers(0, 3, (len(owner), k)).astype(float)
+            scores[rng.random(scores.shape) < 0.2] = -0.0  # equal to 0.0, kept first by index
+            scores[owner == 1] = scores[owner == 1][0]
+            scores[owner == 5] = -0.0 if k == 1 else [0.0, -0.0]
+            if k == 1:  # the row test passes one column; widened, it is read alike
+                got = solver._staircase_points(scores, owner)
+                scores = np.repeat(scores, 2, axis=1)
+                np.testing.assert_array_equal(solver._staircase_points(scores, owner), got)
+            shapes.clear()
+            got = solver._staircase_points(scores, owner)
+            np.testing.assert_array_equal(np.sort(got), _first_minimal_points(scores, owner))
+            # grouped by cloud, each a staircase: first score up, second down
+            same = owner[got][1:] == owner[got][:-1]
+            assert (owner[got][1:] >= owner[got][:-1]).all()
+            assert (scores[got[1:], 0] > scores[got[:-1], 0])[same].all()
+            assert (scores[got[1:], 1] < scores[got[:-1], 1])[same].all()
+            # each rectangle holds at most the bound's cells, or one cloud
+            assert shapes and all(rows * cols <= bound or rows == 1 for rows, cols in shapes)
+            assert sum(rows for rows, _ in shapes) == len(sizes)
 
 
 def plane_clouds(rng, cone, count):

@@ -43,22 +43,26 @@ class RaySchedule:
 
     direction: np.ndarray
     t_values: np.ndarray = field(default_factory=default_t_values)
+    # direction / |direction|, the direction scaled by a power of two first, which
+    # is exact, so that no square overflows or underflows: 1e308 and 1e-320 point
+    # the way 1 does
+    unit_direction: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         u = np.asarray(self.direction, dtype=float).reshape(-1)
         ts = np.asarray(self.t_values, dtype=float).reshape(-1)
-        if np.linalg.norm(u) == 0.0:
+        if not np.isfinite(u).all():
+            raise ProblemValidationError(f"ray direction must be finite, got {u.tolist()}")
+        if not u.any():
             raise ProblemValidationError("ray direction must be nonzero")
         if len(ts) < 4 or not (ts[0] > 0.0 and (np.diff(ts) > 0.0).all() and ts[-1] < np.inf):
             raise ProblemValidationError("t_values must be finite, positive, strictly increasing")
         if ts[-1] < 1e4:
             raise ProblemValidationError("t_values must reach at least 1e4")
+        scaled = np.ldexp(u, -np.frexp(np.abs(u).max())[1])
         object.__setattr__(self, "direction", u)
         object.__setattr__(self, "t_values", ts)
-
-    @property
-    def unit_direction(self) -> np.ndarray:
-        return self.direction / np.linalg.norm(self.direction)
+        object.__setattr__(self, "unit_direction", scaled / np.linalg.norm(scaled))
 
 
 @dataclass(frozen=True)
@@ -110,9 +114,12 @@ def asymptotic_cone_estimate(points, radius_threshold: float) -> np.ndarray:
     if len(far) == 0:
         return np.empty((0, points.shape[1]))
     dirs = far / np.linalg.norm(far, axis=1)[:, None]
-    order = np.lexsort(dirs.T[::-1])
+    dirs = dirs[np.lexsort(dirs.T[::-1])]
+    # a repeat of the direction before it is never kept: it meets the same
+    # representatives, or that direction itself at angle 0
+    dirs = dirs[np.concatenate([[True], (dirs[1:] != dirs[:-1]).any(axis=1)])]
     reps: list[np.ndarray] = []
-    for d in dirs[order]:
+    for d in dirs:
         if all(np.arccos(np.clip(d @ r, -1.0, 1.0)) > ANGULAR_CLUSTER_TOL for r in reps):
             reps.append(d)
     reps.sort(key=lambda r: tuple(r))
@@ -263,20 +270,26 @@ def far_colevel_sample(problem: SetValuedProblem, lam: float,
     Analytic map kinds are probed along compass rays beyond the grid;
     table kinds can only contribute far grid points.
     """
+    return _far_samples(problem, [lam], radius_threshold)[0]
+
+
+def _far_samples(problem: SetValuedProblem, lams,
+                 radius_threshold: float) -> list[np.ndarray]:
+    """`far_colevel_sample` at each height of lams; the far grid points and the rays are
+    read once, and thresholded per height."""
     if not 0.0 < radius_threshold < np.inf:
         raise ProblemValidationError("radius_threshold must be finite and positive")
     tie = problem.tolerances.tie_tol
-    low = problem.grid.points[scalar_field(problem).values <= lam + tie]
-    pts = list(low[np.linalg.norm(low, axis=1) >= radius_threshold])
+    far = np.linalg.norm(problem.grid.points, axis=1) >= radius_threshold
+    pts, values = problem.grid.points[far], scalar_field(problem).values[far]
     if problem.map_model.is_analytic:
         ts = np.geomspace(radius_threshold, max(DEFAULT_T_MAX, radius_threshold * 10.0),
                           FAR_T_COUNT)
         rays = np.concatenate([ts[:, None] * (u / np.linalg.norm(u))
                                for u in compass_directions(problem.grid.dim_domain)])
-        pts.extend(rays[scalar_values_at(problem, rays) <= lam + tie])
-    if not pts:
-        return np.empty((0, problem.grid.dim_domain))
-    return np.asarray(pts)
+        pts, values = np.concatenate([pts, rays]), np.concatenate(
+            [values, scalar_values_at(problem, rays)])
+    return [pts[values <= lam + tie] for lam in lams]
 
 
 @dataclass(frozen=True)
@@ -317,8 +330,7 @@ def horizon_outer_limit(problem: SetValuedProblem, lam_schedule,
 
     tail = lam[len(lam) // 2:]
     collected: list[np.ndarray] = []
-    for value in tail:
-        sample = far_colevel_sample(problem, float(value), radius_threshold)
+    for sample in _far_samples(problem, tail.tolist(), radius_threshold):
         est = asymptotic_cone_estimate(sample, radius_threshold)
         if len(est):
             collected.append(est)

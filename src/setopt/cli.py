@@ -122,8 +122,11 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def _write_csv(path: str, lines: list) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise CLIUsageError(f"unwritable file {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +178,7 @@ def _cmd_asymptotic(args) -> int:
     if args.horizon:
         schedule = default_lambda_schedule(problem, count=args.lambda_count)
         out["horizon"] = horizon_outer_limit(problem, schedule, radius_threshold=args.threshold)
-    if args.csv and directions:
+    if args.csv:  # the traces of the given directions, else of the compass ones
         lines = ["direction,t,value"]
         for e in gap.estimates:
             label = ";".join(repr(c) for c in e.direction.tolist())

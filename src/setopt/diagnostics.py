@@ -16,11 +16,15 @@ neighbours of each member; a grid given as points is scanned pairwise.
 Regular-global-inf takes the near-infimum set inside its norm ball,
 transfer closedness the colevel set at the smallest sampled height, and
 one refinement verdict (`_refine`) classifies the collar points for
-both, a whole check's points in one batch: their probes are the points
-plus the same per-radius offsets, kept where they lie in the domain and
-read in one `scalar_values_at` call, so each check makes one off-grid
-read.  That call keeps each off-grid value, so a probe point costs one
-map evaluation per problem however often it is revisited.  Transfer
+both.  Each checker decides its ladder of parameters in one array pass:
+the norm balls 1..6 of the existence report are the rungs of one
+regular-global-inf call (stacked masks, one collar dilation, one read of
+the union of their probes, taken in the order a ball-by-ball loop meets
+them), the sampled heights of transfer closedness and of coercivity one
+`colevel_masks` pass.  The probes are the collar points plus the same
+per-radius offsets, kept where they lie in the domain, so each check
+makes one off-grid read, and `scalar_values_at` keeps each off-grid
+value, so a probe point costs one map evaluation per problem.  Transfer
 closedness stops at its first witness; if the batch read raises, it
 reads its points one at a time, so that only an error met before that
 witness is raised.
@@ -38,7 +42,7 @@ from .asymptotics import (GapReport, _margin, check_asymptotic_gap, compass_dire
 from .cone import fold_columns
 from .errors import InternalConsistencyError, ProblemValidationError, SetOptError
 from .problem import SetValuedProblem
-from .scalarizer import colevel, scalar_field, scalar_values_at
+from .scalarizer import colevel_masks, scalar_field, scalar_values_at
 from .solver import domination_row, efficient_sets
 
 _REFINE_LEVELS = (0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625)
@@ -77,50 +81,53 @@ def check_attainment(problem: SetValuedProblem) -> Verdict:
 # regular-global-inf, and the collar and refinement it shares with transfer
 # ---------------------------------------------------------------------------
 
-def _domain_mask(problem: SetValuedProblem, pts: np.ndarray,
-                 restrict_norm: float | None) -> np.ndarray:
-    """Which of pts lie in the grid's box, if any, and in the norm ball, if given."""
+def _domain_mask(problem: SetValuedProblem, pts: np.ndarray, norms) -> np.ndarray:
+    """Which of pts lie in the grid's box, if any, and in each norm ball of norms (None:
+    no ball); one row per ball."""
     keep = np.ones(len(pts), dtype=bool)
     if problem.grid.box is not None:
         lo, hi = problem.grid.box[:, 0], problem.grid.box[:, 1]
         keep &= fold_columns(np.logical_and, (pts >= lo - 1e-12) & (pts <= hi + 1e-12))
-    if restrict_norm is not None:
-        keep &= np.linalg.norm(pts, axis=1) <= restrict_norm + 1e-12
-    return keep
+    if all(n is None for n in norms):
+        return np.tile(keep, (len(norms), 1))
+    radii = np.array([np.inf if n is None else n + 1e-12 for n in norms])
+    return keep & (np.linalg.norm(pts, axis=1) <= radii[:, None])
 
 
 def _collar(problem: SetValuedProblem, members: np.ndarray) -> np.ndarray:
-    """Sorted indices of the non-members within one grid step of a member on every axis.
+    """The non-members within one grid step of a member on every axis, as a mask like members.
 
-    This one-step Chebyshev dilation is the grid surrogate of a closure.
-    On a box grid it is taken on the `resolution` lattice: the member mask
-    grows by one index both ways along each axis in turn, which adds the
-    3^d - 1 lattice neighbours of each member.  A grid given as points is
-    scanned pairwise, in units of the grid step.
+    members is a grid mask, or a stack of them along leading axes.  This
+    one-step Chebyshev dilation is the grid surrogate of a closure.  On a
+    box grid it is taken on the `resolution` lattice, for the whole stack
+    at once: the member mask grows by one index both ways along each axis
+    in turn, which adds the 3^d - 1 lattice neighbours of each member.  A
+    grid given as points is scanned pairwise, in units of the grid step.
     """
+    lead = members.shape[:-1]
     if problem.grid.resolution is not None:
-        near = np.zeros(problem.grid.resolution, dtype=bool)
-        near.flat[members] = True
-        for axis in range(near.ndim):
+        near = members.reshape(*lead, *problem.grid.resolution)
+        for axis in range(len(lead), near.ndim):
             rows = np.moveaxis(near, axis, 0)
             grown = rows.copy()
             grown[1:] |= rows[:-1]
             grown[:-1] |= rows[1:]
             near = np.moveaxis(grown, 0, axis)
-        near.flat[members] = False
-        return np.flatnonzero(near)
+        return near.reshape(members.shape) & ~members
     pts = problem.grid.points
     steps = problem.grid.step_estimate()
-    outside = np.setdiff1d(np.arange(len(pts)), members)
-    inner, outer = pts[members], pts[outside]
-    if len(members) <= len(outside):  # loop over the smaller side
-        near = np.zeros(len(outside), dtype=bool)
-        for p in inner:
-            near |= np.max(np.abs(outer - p) / steps, axis=1) <= 1.01
-    else:
-        near = np.array([np.any(np.max(np.abs(inner - p) / steps, axis=1) <= 1.01)
-                         for p in outer], dtype=bool)
-    return outside[near]
+    collars = np.zeros_like(members)
+    for mask, collar in zip(members.reshape(-1, len(pts)), collars.reshape(-1, len(pts))):
+        inner, outer = pts[mask], pts[~mask]
+        if len(inner) <= len(outer):  # loop over the smaller side
+            near = np.zeros(len(outer), dtype=bool)
+            for p in inner:
+                near |= np.max(np.abs(outer - p) / steps, axis=1) <= 1.01
+        else:
+            near = np.array([np.any(np.max(np.abs(inner - p) / steps, axis=1) <= 1.01)
+                             for p in outer], dtype=bool)
+        collar[~mask] = near
+    return collars
 
 
 def _probe_offsets(d: int, r: float) -> np.ndarray:
@@ -137,44 +144,56 @@ def _refinement_offsets(problem: SetValuedProblem) -> np.ndarray:
     return np.stack([_probe_offsets(problem.grid.dim_domain, float(r)) for r in radii])
 
 
-def _refine(problem: SetValuedProblem, X0: np.ndarray, level: float,
-            restrict_norm: float | None) -> list[tuple[str | None, list[float]]]:
-    """Refine below the grid step around each row of X0; a (verdict, minima trace) per row.
+def _refine(problem: SetValuedProblem, X0: np.ndarray, levels, norms=(None,),
+            rungs: np.ndarray | None = None) -> list[list[tuple[str | None, list[float]]]]:
+    """Refine below the grid step around rows of X0; per rung, a (verdict, minima trace) per row.
 
-    A row's trace holds the least probe value inside the domain per
-    sub-step radius, smallest radius last.  Its verdict is "witness" if
-    the last entry is at most `level`; "unresolved" for a table map, for no
-    probe inside the domain, or for minima still descending at the floor;
-    else None.  Every radius has as many probes; the probes of all rows are
-    the rows plus the same offsets, masked once and read in one
-    `scalar_values_at` call, and each row's result is the one it gets alone.
+    Rung r refines the rows of X0 that rungs[r] marks (every row if rungs is
+    None) against levels[r], inside the norm ball norms[r] (None: the whole
+    domain).  A row's trace holds the least probe value inside the domain
+    per sub-step radius, smallest radius last.  Its verdict is "witness" if
+    the last entry is at most the level; "unresolved" for a table map, for
+    no probe inside the domain, or for minima still descending at the
+    floor; else None.  Every radius has as many probes; the probes of all
+    rows are the rows plus the same offsets, and those inside the domain
+    of some rung of their row are read in one `scalar_values_at` call, in
+    the order rung-by-rung calls would first reach them, so each row's
+    result, and a failing probe's error, is the one it gets alone.
     """
+    rungs = np.ones((len(levels), len(X0)), dtype=bool) if rungs is None else rungs
     if not problem.map_model.is_analytic:
-        return [("unresolved", [])] * len(X0)
+        return [[("unresolved", [])] * int(rows.sum()) for rows in rungs]
     d = X0.shape[1]
     probes = X0[:, None, None, :] + problem._derived("refinement_offsets", _refinement_offsets)
-    inside = _domain_mask(problem, probes.reshape(-1, d), restrict_norm).reshape(probes.shape[:3])
-    values = np.full(inside.shape, np.inf)  # a probe outside the domain never lowers a minimum
-    values[inside] = scalar_values_at(problem, probes[inside])
+    inside = _domain_mask(problem, probes.reshape(-1, d), norms).reshape(
+        len(norms), *probes.shape[:3]) & rungs[:, :, None, None]
+    # each probe point once, rung by rung, as a rung-by-rung read meets them
+    first = inside.copy()
+    first[1:] &= ~np.logical_or.accumulate(inside, axis=0)[:-1]
+    at = np.nonzero(first.reshape(len(first), -1))[1]
+    values = np.full(inside.shape[1:], np.inf)
+    values.reshape(-1)[at] = scalar_values_at(problem, probes.reshape(-1, d)[at])
+    values = np.where(inside, values, np.inf)  # a probe outside never lowers a minimum
     # min() of the values inside the domain at one radius: the first of them
     # if it is NaN, else the first least one; so no later NaN may win the argmin
-    later = np.arange(inside.shape[2]) != inside.argmax(axis=2)[..., None]
+    later = np.arange(inside.shape[3]) != inside.argmax(axis=3)[..., None]
     values[later & np.isnan(values)] = np.inf
-    lows = np.take_along_axis(values, values.argmin(axis=2)[..., None], axis=2)[..., 0]
+    lows = np.take_along_axis(values, values.argmin(axis=3)[..., None], axis=3)[..., 0]
+    reached = inside.any(axis=3)
     tie = problem.tolerances.tie_tol
-    results = []
-    for row_lows, row_reached in zip(lows.tolist(), inside.any(axis=2)):
-        minima = [low for low, hit in zip(row_lows, row_reached) if hit]
+    results = [[] for _ in levels]
+    for r, i in zip(*np.nonzero(rungs)):
+        minima = [low for low, hit in zip(lows[r, i].tolist(), reached[r, i].tolist()) if hit]
         if not minima:
             verdict = "unresolved"
-        elif minima[-1] <= level:
+        elif minima[-1] <= levels[r]:
             verdict = "witness"
         elif (len(minima) >= 3 and minima[-1] < minima[-2] - tie
               and minima[-2] < minima[-3] - tie):
             verdict = "unresolved"  # still descending toward the level
         else:
             verdict = None
-        results.append((verdict, minima))
+        results[r].append((verdict, minima))
     return results
 
 
@@ -196,44 +215,58 @@ def check_regular_global_inf(problem: SetValuedProblem,
     computed once per problem, its evidence read-only.
     """
     if restrict_norm is None:
-        return problem._derived("regular_global_inf", _regular_global_inf)
-    return _regular_global_inf(problem, restrict_norm)
+        return problem._derived("regular_global_inf", lambda p: _regular_global_inf(p, [None])[0])
+    return _regular_global_inf(problem, [restrict_norm])[0]
 
 
-def _regular_global_inf(problem: SetValuedProblem, restrict_norm: float | None = None) -> Verdict:
+def _regular_global_inf(problem: SetValuedProblem, norms: list) -> list[Verdict]:
+    """The regular-global-inf verdict inside each norm ball of norms (None: the whole domain).
+
+    Each ball is a rung with its own grid points, infimum and collar; the
+    collars are one dilation of the stacked near-infimum masks, and the
+    collar points of every rung are refined in one `_refine` call.  A ball
+    holding fewer than two grid points holds and is not refined.
+    """
     pts = problem.grid.points
-    inside = _domain_mask(problem, pts, restrict_norm)
-    if inside.sum() < 2:
-        return Verdict(status="holds",
-                       evidence={"reason": "restriction holds fewer than two grid points"})
     values = scalar_field(problem).values
-    m = float(values[inside].min())
     margin = _margin(problem)
     step = float(problem.grid.step_estimate().max())
-    collar = _collar(problem, np.flatnonzero(inside & (values <= m + margin)))
-    collar = collar[inside[collar]]
-    witnesses, unresolved = [], []
-    for c, (verdict, minima) in zip(collar, _refine(problem, pts[collar], m + margin,
-                                                    restrict_norm)):
-        if verdict == "witness":
-            witnesses.append((pts[c], minima))
-        elif verdict == "unresolved":
-            unresolved.append(pts[c])
-    evidence = {
-        "inf_value": m,
-        "margin": margin,
-        "grid_step": step,
-        "restricted_to_norm": restrict_norm,
-        "refinement_radii": step * np.asarray(_REFINE_LEVELS),
-    }
-    if witnesses:
-        w, trace = witnesses[0]
-        evidence["local_minima_trace"] = trace
-        evidence["all_witnesses"] = [wi.tolist() for wi, _ in witnesses]
-        return Verdict(status="fails", witness=w.tolist(), evidence=evidence)
-    if unresolved:
-        return _inconclusive(problem, evidence, unresolved)
-    return Verdict(status="holds", evidence=evidence)
+    inside = _domain_mask(problem, pts, norms)
+    m = np.where(inside, values, np.inf).min(axis=1)
+    counts = inside.sum(axis=1)
+    collars = _collar(problem, inside & (values <= (m + margin)[:, None])) & inside
+    collars &= (counts >= 2)[:, None]
+    rows = np.flatnonzero(collars.any(axis=0))
+    refined = _refine(problem, pts[rows], m + margin, norms, collars[:, rows])
+    verdicts = []
+    for n, m_n, count, collar, results in zip(norms, m.tolist(), counts, collars, refined):
+        if count < 2:
+            verdicts.append(Verdict(status="holds", evidence={
+                "reason": "restriction holds fewer than two grid points"}))
+            continue
+        witnesses, unresolved = [], []
+        for c, (verdict, minima) in zip(np.flatnonzero(collar), results):
+            if verdict == "witness":
+                witnesses.append((pts[c], minima))
+            elif verdict == "unresolved":
+                unresolved.append(pts[c])
+        evidence = {
+            "inf_value": m_n,
+            "margin": margin,
+            "grid_step": step,
+            "restricted_to_norm": n,
+            "refinement_radii": step * np.asarray(_REFINE_LEVELS),
+        }
+        if witnesses:
+            w, trace = witnesses[0]
+            evidence["local_minima_trace"] = trace
+            evidence["all_witnesses"] = [wi.tolist() for wi, _ in witnesses]
+            verdicts.append(Verdict(status="fails", witness=w.tolist(), evidence=evidence))
+        elif unresolved:
+            verdicts.append(_inconclusive(problem, evidence, unresolved))
+        else:
+            verdicts.append(Verdict(status="holds", evidence=evidence))
+    return verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -265,24 +298,25 @@ def check_transfer_closed(problem: SetValuedProblem, lam_samples=None) -> Verdic
     # is monotone), so their intersection is the set at the smallest lam;
     # dilation is monotone, so the intersection of the dilations is the
     # dilation of that one set.  Every lam still runs the route cross-check.
-    members = [colevel(problem, float(lam)) for lam in lam_samples][int(np.argmin(lam_samples))]
+    first = int(np.argmin(lam_samples))
+    low = [mask for t, mask in enumerate(colevel_masks(problem, lam_samples)) if t == first][0]
     pts = problem.grid.points
-    collar = _collar(problem, members)
+    collar = np.flatnonzero(_collar(problem, low))
     evidence = {
         "lambda_samples": lam_samples,
         "inf_value": m,
-        "plain_intersection": pts[members],
+        "plain_intersection": pts[low],
         "collar_points": pts[collar],
     }
     level = float(lam_samples.min()) + margin
     # a collar point whose own value is already low is no closure gap
     gaps = collar[~(field.values[collar] <= level)]
     try:
-        refined = _refine(problem, pts[gaps], level, None)
+        refined = _refine(problem, pts[gaps], [level])[0]
     except SetOptError:
         # the batch reads past the first witness, where the check stops;
         # one point at a time, only an error met before it is raised
-        refined = (_refine(problem, pts[[i]], level, None)[0] for i in gaps)
+        refined = (_refine(problem, pts[[i]], [level])[0][0] for i in gaps)
     unresolved = []
     for i, (verdict, minima) in zip(gaps, refined):
         if verdict == "witness":
@@ -302,13 +336,14 @@ def check_transfer_closed(problem: SetValuedProblem, lam_samples=None) -> Verdic
 # coercivity
 # ---------------------------------------------------------------------------
 
-def _strictly_inside(problem: SetValuedProblem, indices: np.ndarray) -> bool:
+def _interior(problem: SetValuedProblem) -> np.ndarray:
+    """Which grid points lie at least one grid step inside every face of the box."""
     box = problem.grid.box
     steps = problem.grid.step_estimate()
-    pts = problem.grid.points[indices]
+    pts = problem.grid.points
     lo, hi = box[:, 0], box[:, 1]
     eps = 1e-9 * np.maximum(1.0, np.abs(steps))
-    return bool(np.all(pts - lo >= steps - eps) and np.all(hi - pts >= steps - eps))
+    return fold_columns(np.logical_and, (pts - lo >= steps - eps) & (hi - pts >= steps - eps))
 
 
 def check_coercivity(problem: SetValuedProblem, lam_probe: float | None = None) -> Verdict:
@@ -338,10 +373,11 @@ def _coercivity(problem: SetValuedProblem, lam_probe: float | None = None) -> Ve
                        evidence={"limiting_resource": "no box metadata on the grid"})
 
     touched = []
-    for j in range(_COERCIVITY_LADDER):
-        lam = m + (lam_probe - m) * (0.5 ** j)
-        members = colevel(problem, float(lam))
-        if _strictly_inside(problem, members):
+    interior = _interior(problem)
+    ladder = [m + (lam_probe - m) * (0.5 ** j) for j in range(_COERCIVITY_LADDER)]
+    for lam, low in zip(ladder, colevel_masks(problem, ladder)):
+        if interior[low].all():
+            members = np.flatnonzero(low)
             return Verdict(
                 status="holds",
                 evidence={
@@ -351,7 +387,7 @@ def _coercivity(problem: SetValuedProblem, lam_probe: float | None = None) -> Ve
                 },
             )
         touched.append(lam)
-    pts = problem.grid.points[members]  # the colevel set at touched[-1]
+    pts = problem.grid.points[low]  # the colevel set at touched[-1]
     witness = pts[int(np.argmax(np.linalg.norm(pts, axis=1)))]
     return Verdict(
         status="fails",
@@ -370,7 +406,7 @@ def check_colevel_compact_at(problem: SetValuedProblem, x0) -> Verdict:
                        evidence={"limiting_resource": "no box metadata on the grid"})
     # row idx0 of D is F(x0) <l F(x); the colevel set is where it is false
     members = np.flatnonzero(~domination_row(problem, idx0))
-    bounded = _strictly_inside(problem, members)
+    bounded = bool(_interior(problem)[members].all())
     strict = efficient_sets(problem)[0]
     in_strict = idx0 in strict
     coercive = check_coercivity(problem).holds
@@ -432,11 +468,10 @@ def existence_report(problem: SetValuedProblem) -> HypothesisReport:
     gap = check_asymptotic_gap(problem)
 
     max_norm = float(problem.grid.norms().max())
-    ns = range(1, min(math.ceil(max_norm), _MAX_RESTRICTIONS) + 1)
-    restricted = {}
-    for n in ns:
-        if _domain_mask(problem, problem.grid.points, float(n)).sum() >= 2:
-            restricted[n] = check_regular_global_inf(problem, restrict_norm=float(n))
+    ns = [float(n) for n in range(1, min(math.ceil(max_norm), _MAX_RESTRICTIONS) + 1)]
+    ns = [n for n, count in zip(ns, _domain_mask(problem, problem.grid.points, ns).sum(axis=1))
+          if count >= 2]
+    restricted = dict(zip(map(int, ns), _regular_global_inf(problem, ns)))
 
     coercive_blockers = []
     if not rgi.holds:

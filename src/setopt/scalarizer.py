@@ -4,7 +4,8 @@ For each domain point x the scalarization takes the minimum of the
 Gerstewitz value over the cloud F(x); the minimum is attained because
 clouds are finite.  Colevel sets are computed along two independent
 routes, via the order relation and via the scalar field, and the two
-must agree.
+must agree; `colevel_masks` takes both routes for a whole ladder of
+heights in one pass.
 
 One reduction, `_least_ratios`, gives psi per cloud from the store's scores on
 the grid and from fresh `cone.linear_forms` scores off it (analytic kinds only),
@@ -26,7 +27,7 @@ from .errors import InternalConsistencyError, ProblemValidationError
 from .problem import SetValuedProblem, _check_magnitudes, _chunks, first_failure
 
 __all__ = ["ScalarField", "scalar_field", "scalar_value", "scalar_value_at", "scalar_values_at",
-           "global_inf", "colevel", "colevel_points"]
+           "global_inf", "colevel", "colevel_masks", "colevel_points"]
 
 
 @dataclass(frozen=True)
@@ -74,12 +75,12 @@ def scalar_values_at(problem: SetValuedProblem, X) -> np.ndarray:
     # each row's float64 bytes as one fixed-width string; numpy strips its
     # trailing NUL bytes, which is injective at one width (two strings that
     # strip alike differ only in how many NULs they had, so not at all)
-    keys = X.view((np.bytes_, X.itemsize * X.shape[1])).ravel().tolist()
-    new = {}  # the first row of each point the memo misses
-    for i, key in enumerate(keys):
-        if key not in memo:
-            new.setdefault(key, i)
-    fresh, rows = list(new), X[list(new.values())]
+    width = X.itemsize * X.shape[1]
+    keys = X.view((np.bytes_, width)).ravel().tolist()
+    # each point the memo misses, once, in order; padded back to its width,
+    # its key is its row's bytes again
+    fresh = list(dict.fromkeys([key for key in keys if key not in memo]))
+    rows = np.array(fresh, dtype=(np.bytes_, width)).view(float).reshape(-1, X.shape[1])
     step = max(1, _problem.SCRATCH_POINTS // problem.map_model.largest_cloud)
     for lo in range(0, len(rows), step):
         values = first_failure(lambda Y: _cloud_minima(problem, Y), rows[lo:lo + step])
@@ -123,30 +124,60 @@ def colevel(problem: SetValuedProblem, lam: float) -> np.ndarray:
     for every w; a disagreement outside that band raises.  lam must be
     finite; an overflowing lam <w, q> is compared as an infinity.
     """
-    if not np.isfinite(lam):
-        raise ProblemValidationError(f"lambda must be finite, got {lam}")
+    return np.flatnonzero(next(colevel_masks(problem, [lam])))
+
+
+def colevel_masks(problem: SetValuedProblem, lams):
+    """Yield the colevel set at each height of lams in turn, as a grid mask; see `colevel`.
+
+    Both routes decide every height in one pass.  Each test is monotone in
+    lam (rounding is), so over the sorted heights a grid point joins each
+    route's set at one rank: route two's is where its value falls among
+    lam + tie_tol, route one's the least over the cloud's points and the
+    generators of how many probes lam <w, q> a score beats.  A height
+    raises as `colevel` would, once it is reached.
+    """
+    lams = np.asarray(lams, dtype=float).reshape(-1)
+    stop = int(np.argmin(np.isfinite(np.append(lams, np.nan))))  # the first non-finite one
     field = scalar_field(problem)
     tie = problem.tolerances.tie_tol
-    by_field = field.values <= lam + tie
-
     cone = problem.cone
-    with np.errstate(over="ignore"):
-        probe = lam * cone._unit_scores
-    by_relation = np.empty(len(field.values), dtype=bool)
-    for clouds, rows, at in problem._store_chunks():
-        scores = problem.cloud_scores[rows]
-        above = _cone.fold_columns(np.logical_and, scores - probe > cone.cone_tol)
-        by_relation[clouds] = ~np.logical_and.reduceat(above, at)
-
-    band = 2.0 * tie + cone._tau
-    disagree = np.flatnonzero(by_field != by_relation)
-    for i in disagree:
-        if abs(field.values[i] - lam) > band:
+    order = np.argsort(lams[:stop], kind="stable")
+    rank = order.argsort()
+    inf = np.full((1, len(cone._unit_scores)), np.inf)
+    joins_relation = np.empty(len(field.values), dtype=np.intp)
+    with np.errstate(over="ignore"):  # an overflow compares as the infinity it rounds to
+        joins_field = np.searchsorted(lams[order] + tie, field.values)
+        # the probes in increasing order, between a -inf that every test
+        # passes and a +inf that none does
+        probes = np.vstack([-inf, lams[order, None] * cone._unit_scores, inf])
+        for clouds, rows, at in problem._store_chunks():
+            beaten = stop  # the fewest probes a point beats over every generator
+            for probe, s in zip(probes.T, problem.cloud_scores[rows].T):
+                # how many a score beats: its rank as cone_tol would give it,
+                # moved one step at a time while the test on either side of
+                # it says otherwise
+                count = np.searchsorted(probe[1:-1], s - cone.cone_tol)
+                while (step := (s - probe[count + 1] > cone.cone_tol).astype(np.intp)
+                       - (s - probe[count] <= cone.cone_tol)).any():
+                    count += step
+                beaten = np.minimum(beaten, count)
+            joins_relation[clouds] = np.minimum.reduceat(beaten, at)
+    odd = np.flatnonzero(joins_field != joins_relation)
+    # per height in the given order, the route disagreements outside the band
+    wrong = ((np.minimum(joins_field, joins_relation)[odd] <= rank[:, None])
+             & (rank[:, None] < np.maximum(joins_field, joins_relation)[odd])
+             & (np.abs(field.values[odd] - lams[:stop, None]) > 2.0 * tie + cone._tau))
+    for t in range(stop):
+        if wrong[t].any():
+            i = odd[wrong[t].argmax()]
             raise InternalConsistencyError(
                 f"colevel routes disagree at grid index {i}: "
-                f"value {field.values[i]} vs threshold {lam}"
+                f"value {field.values[i]} vs threshold {float(lams[t])}"
             )
-    return np.flatnonzero(by_field)
+        yield joins_field <= rank[t]
+    if stop < len(lams):
+        raise ProblemValidationError(f"lambda must be finite, got {float(lams[stop])}")
 
 
 def colevel_points(problem: SetValuedProblem, lam: float) -> np.ndarray:

@@ -3,8 +3,9 @@ import pytest
 
 from setopt import (ConeSpec, DomainGrid, MapModel, ProblemValidationError, RaySchedule,
                     SetValuedProblem, asymptotic_cone_estimate, asymptotic_value,
-                    check_asymptotic_gap, default_lambda_schedule, existence_report,
-                    far_colevel_sample, fixtures, horizon_outer_limit, lower_less, evaluate)
+                    check_asymptotic_gap, compass_directions, default_lambda_schedule,
+                    existence_report, far_colevel_sample, fixtures, horizon_outer_limit,
+                    lower_less, evaluate, scalar_field, scalar_value_at)
 from setopt import asymptotics
 
 
@@ -19,6 +20,21 @@ def test_schedule_validation():
     for ts in ([1.0, 10.0, 1e3, np.inf], [1.0, 10.0, np.nan, 1e5], [np.nan] * 4):
         with pytest.raises(ProblemValidationError, match="finite"):
             RaySchedule(np.array([1.0]), np.array(ts))
+
+
+def test_unit_direction_is_exact_at_any_finite_size():
+    # scaling by a power of two changes no bit where the plain quotient
+    # u / |u| neither overflows nor underflows, and rescues it where it does
+    rng = np.random.default_rng(8)
+    for d in (1, 2, 3):
+        for u in rng.normal(size=(200, d)) * 10.0 ** rng.uniform(-100, 100, (200, 1)):
+            assert RaySchedule(u).unit_direction.tobytes() == (u / np.linalg.norm(u)).tobytes()
+    for u, unit in [([1e308, -1e308], np.array([1.0, -1.0]) / np.sqrt(2.0)), ([5e-324], [1.0]),
+                    ([0.0, -1e-320, 0.0], [0.0, -1.0, 0.0])]:
+        np.testing.assert_array_equal(RaySchedule(np.array(u)).unit_direction, unit)
+    for u in ([np.nan], [1.0, np.inf]):
+        with pytest.raises(ProblemValidationError, match="ray direction must be finite"):
+            RaySchedule(np.array(u))
 
 
 def test_cone_estimate_bounded_set_is_trivial():
@@ -185,3 +201,85 @@ def test_gap_report_raises_the_error_of_the_first_failing_ray():
                               ([[1.0, 0.0], [1.0, 1.0]], "direction dimension")]:
         with pytest.raises(ProblemValidationError, match=error):
             check_asymptotic_gap(prob, directions=directions)
+
+
+def _far_sample(problem, lam, threshold):
+    """far_colevel_sample as one height's scan: the low grid points that lie far out, then
+    the compass rays' points at or below the height."""
+    tie = problem.tolerances.tie_tol
+    low = problem.grid.points[scalar_field(problem).values <= lam + tie]
+    pts = list(low[np.linalg.norm(low, axis=1) >= threshold])
+    if problem.map_model.is_analytic:
+        ts = np.geomspace(threshold, max(asymptotics.DEFAULT_T_MAX, threshold * 10.0),
+                          asymptotics.FAR_T_COUNT)
+        rays = np.concatenate([ts[:, None] * (u / np.linalg.norm(u))
+                               for u in compass_directions(problem.grid.dim_domain)])
+        pts.extend(rays[[scalar_value_at(problem, ray) <= lam + tie for ray in rays]])
+    return np.asarray(pts).reshape(-1, problem.grid.dim_domain)
+
+
+def _greedy_cone_estimate(points, threshold):
+    """asymptotic_cone_estimate as the plain greedy scan over every far direction."""
+    far = points[np.linalg.norm(points, axis=1) >= threshold]
+    dirs = far / np.linalg.norm(far, axis=1)[:, None]
+    reps = []
+    for d in dirs[np.lexsort(dirs.T[::-1])]:
+        if all(np.arccos(np.clip(d @ r, -1.0, 1.0)) > asymptotics.ANGULAR_CLUSTER_TOL
+               for r in reps):
+            reps.append(d)
+    reps.sort(key=tuple)
+    return np.asarray(reps).reshape(-1, points.shape[1])
+
+
+def _table_far_out():
+    # a 1-D table reaching radius 300 whose values fall toward +300, so the
+    # low grid points lie far out
+    pts = np.linspace(-300.0, 300.0, 61)[:, None]
+    clouds = [[[-x / 100.0 if x >= 0.0 else 0.5]] for x in pts[:, 0]]
+    return SetValuedProblem(
+        grid=DomainGrid(pts),
+        map_model=MapModel(kind="table", params={"points": pts.tolist(), "clouds": clouds}),
+        cone=ConeSpec.orthant(1, [1.0]))
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES) + ["far_table"])
+def test_horizon_samples_each_height_of_its_tail_as_its_own_scan(name):
+    prob = _table_far_out() if name == "far_table" else fixtures.build(
+        name, **({"sample_size": 100} if name == "hyperbola_escape" else {}))
+    lams = default_lambda_schedule(prob, 16)
+    tie = prob.tolerances.tie_tol
+    for threshold in (3.0, 100.0):
+        # the tail, and heights a half tie below the far values, which count as low
+        far = asymptotics._far_samples(prob, [np.inf], threshold)[0]
+        values = [scalar_value_at(prob, x) if prob.map_model.is_analytic else
+                  scalar_field(prob).values[prob.grid.locate(x)] for x in far[::7]]
+        heights = [*lams[8:].tolist(), *(v - 0.5 * tie for v in values)]
+        samples = asymptotics._far_samples(prob, heights, threshold)
+        collected = []
+        for lam, sample in zip(heights, samples):
+            expected = _far_sample(prob, float(lam), threshold)
+            assert sample.tobytes() == expected.tobytes() and sample.shape == expected.shape
+            np.testing.assert_array_equal(far_colevel_sample(prob, lam, threshold), sample)
+            est = _greedy_cone_estimate(sample, threshold)
+            np.testing.assert_array_equal(asymptotic_cone_estimate(sample, threshold), est)
+            if len(est) and lam in lams:
+                collected.append(est)
+        report = horizon_outer_limit(prob, lams, radius_threshold=threshold)
+        expected = (_greedy_cone_estimate(np.vstack(collected) * (2.0 * threshold), threshold)
+                    if collected else np.empty((0, prob.grid.dim_domain)))
+        assert report.directions.tobytes() == expected.tobytes()
+    if name == "far_table":
+        assert len(samples[-1]) > 0
+
+
+def test_cone_estimate_keeps_what_the_greedy_scan_keeps():
+    # repeated rows, scaled copies whose directions round alike or not, and
+    # directions within and beyond the angular tolerance of each other
+    rng = np.random.default_rng(9)
+    for d in (1, 2, 3):
+        base = rng.normal(size=(6, d))
+        near = base[:4] + [[1e-4], [1e-4], [5e-3], [5e-3]] * rng.normal(size=(4, d))
+        pts = np.concatenate([base, base, near, 7.0 * base, 3.0 * near, base[::-1]]) * 200.0
+        pts = pts[rng.permutation(len(pts))]
+        got = asymptotic_cone_estimate(pts, 100.0)
+        assert got.tobytes() == _greedy_cone_estimate(pts, 100.0).tobytes()

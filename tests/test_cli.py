@@ -235,6 +235,10 @@ def test_error_exit_codes(fixture_dir, capsys, tmp_path):
      "--lambda-count must be between 2 and 1075"),
     (["asymptotic", "decay_tail.json", "--horizon", "--lambda-count", "1076"], "--lambda-count"),
     (["asymptotic", "decay_tail.json", "--horizon", "--lambda-count", "1"], "--lambda-count"),
+    (["asymptotic", "decay_tail.json", "--direction", "nan"], "ray direction must be finite"),
+    (["asymptotic", "decay_tail.json", "--direction", "inf"], "ray direction must be finite"),
+    (["asymptotic", "decay_tail.json", "--direction=-inf"], "ray direction must be finite"),
+    (["asymptotic", "shifted_disc.json", "--direction", "1,nan"], "got [1.0, nan]"),
 ])
 def test_non_finite_or_out_of_range_numbers_exit_1(fixture_dir, capsys, argv, message):
     # each used to exit 0 with a report that is not JSON, or to escape as a
@@ -254,6 +258,42 @@ def test_asymptotic_csv_holds_plain_numbers(fixture_dir, capsys, tmp_path):
     assert len(rows) == 8
     for row in rows:
         assert [float(cell) for cell in row.split(",")][0] == 1.0
+
+
+@pytest.mark.parametrize("name, huge, plain", [
+    ("decay_tail", "1e308", "1"), ("decay_tail", "1e-320", "1"), ("decay_tail", "-1e-320", "-1"),
+    ("shifted_disc", "1e200,1e200", "1,1"), ("shifted_disc", "-1e-310,0", "-1,0"),
+])
+def test_a_direction_of_any_finite_size_is_the_ray_of_its_unit(fixture_dir, capsys, name, huge,
+                                                              plain):
+    # its norm would overflow or underflow, reading as the unit [0.0] or as zero
+    path = str(fixture_dir / f"{name}.json")
+    assert _run(capsys, ["asymptotic", path, f"--direction={huge}"]) \
+        == _run(capsys, ["asymptotic", path, f"--direction={plain}"])
+
+
+@pytest.mark.parametrize("argv", [["scalarize"], ["asymptotic", "--direction", "1"],
+                                  ["asymptotic"]])
+def test_an_unwritable_csv_path_exits_1_naming_it(fixture_dir, capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "trace.csv"
+    command, *rest = argv
+    code, out, err = _run(capsys, [command, str(fixture_dir / "decay_tail.json"), *rest,
+                                   "--csv", str(target)])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: unwritable file {target}: ")
+
+
+def test_asymptotic_csv_without_directions_holds_the_compass_traces(fixture_dir, capsys,
+                                                                    tmp_path):
+    csv_path = tmp_path / "trace.csv"
+    code, out, _ = _run(capsys, ["asymptotic", str(fixture_dir / "shifted_disc.json"),
+                                 "--t-count", "6", "--csv", str(csv_path)])
+    assert code == 0
+    estimates = json.loads(out)["gap"]["per_direction"]
+    assert len(estimates) == 16
+    rows = [row.split(",") for row in csv_path.read_text().splitlines()[1:]]
+    assert rows == [[";".join(map(repr, e["direction"])), repr(t), repr(v)] for e in estimates
+                    for t, v in zip(e["t_values"], e["liminf_trace"])]
 
 
 def test_scal_tol_is_accepted_and_ignored(fixture_dir, capsys, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import zlib
 
 import numpy as np
@@ -12,8 +13,9 @@ from setopt import colevel
 from setopt.problem import build_problem
 from setopt.scalarizer import scalar_field
 from setopt import InternalConsistencyError
-from setopt import diagnostics, fixtures as fixture_catalog
-from setopt.cli import main
+from setopt import diagnostics, fixtures as fixture_catalog, scalarizer
+from setopt.cli import _json_value, main
+from setopt.scalarizer import ScalarField
 from setopt.solver import domination_matrix, efficient_sets
 
 from conftest import colevel_at_set, constant_problem
@@ -164,12 +166,23 @@ def test_rgi_refines_every_lattice_neighbour_of_the_infimum(monkeypatch):
 
 
 def test_coercivity_reads_each_colevel_set_once(decay, monkeypatch):
-    calls = []
-    monkeypatch.setattr(diagnostics, "colevel",
-                        lambda problem, lam: calls.append(lam) or colevel(problem, lam))
+    calls, drawn = [], []
+    real = diagnostics.colevel_masks
+
+    def spy(problem, lams):
+        calls.append(list(lams))
+        for mask in real(problem, lams):
+            drawn.append(np.flatnonzero(mask))
+            yield mask
+
+    monkeypatch.setattr(diagnostics, "colevel_masks", spy)
     verdict = check_coercivity(decay)
     assert verdict.status == "fails"
-    assert calls == verdict.evidence["probed_lambdas"]
+    # the whole ladder in one pass, each rung's set drawn once
+    assert calls == [verdict.evidence["probed_lambdas"]]
+    assert len(drawn) == len(calls[0])
+    for lam, members in zip(calls[0], drawn):
+        np.testing.assert_array_equal(members, colevel(decay, lam))
 
 
 def test_default_rgi_and_coercivity_verdicts_are_computed_once(tmp_path, capsys, monkeypatch):
@@ -184,10 +197,10 @@ def test_default_rgi_and_coercivity_verdicts_are_computed_once(tmp_path, capsys,
                  "--compact-at=1,0"]) == 0
     capsys.readouterr()
     # the report, --rgi, --coercivity and --compact-at share the two default verdicts;
-    # each norm ball of the report gets its own
-    assert calls.count(("_regular_global_inf", None)) == 1
+    # the norm balls of the report are the rungs of one more call
     assert calls.count(("_coercivity", None)) == 1
-    assert {arg for name, arg in calls if name == "_regular_global_inf"} == {None, 1.0, 2.0, 3.0}
+    assert [arg for name, arg in calls if name == "_regular_global_inf"] \
+        == [[None], [1.0, 2.0, 3.0]]
     prob = fixture_catalog.build("shifted_disc", samples=72)
     assert check_regular_global_inf(prob) is existence_report(prob).regular_global_inf
     assert check_coercivity(prob) is existence_report(prob).coercivity
@@ -207,13 +220,19 @@ def test_refinement_offsets_are_built_once_per_problem(monkeypatch):
 
 def test_refine_verdicts(decay):
     level = scalar_field(decay).inf_value + diagnostics._margin(decay)
-    (at_zero, _), (at_five, _) = diagnostics._refine(decay, np.array([[0.0], [5.0]]), level, None)
+    X0 = np.array([[0.0], [5.0]])
+    [[(at_zero, _), (at_five, _)]] = diagnostics._refine(decay, X0, [level])
     assert at_zero == "witness"
     assert at_five is None
     # every probe around 5 lies outside the unit ball
-    assert diagnostics._refine(decay, np.array([[5.0]]), level, 1.0) == [("unresolved", [])]
-    assert diagnostics._refine(_table_with_gap(), np.array([[1.0]]), 0.0, None) \
-        == [("unresolved", [])]
+    assert diagnostics._refine(decay, np.array([[5.0]]), [level], [1.0]) == [[("unresolved", [])]]
+    assert diagnostics._refine(_table_with_gap(), np.array([[1.0]]), [0.0]) \
+        == [[("unresolved", [])]]
+    # one rung per ball, each refining the rows it marks
+    rungs = np.array([[True, False], [True, True], [False, True]])
+    assert [[verdict for verdict, _ in results] for results in
+            diagnostics._refine(decay, X0, [level] * 3, [None, None, 1.0], rungs)] \
+        == [["witness"], ["witness", None], ["unresolved"]]
 
 
 def _bits(results):
@@ -223,23 +242,29 @@ def _bits(results):
 
 @pytest.mark.parametrize("name", sorted(fixture_catalog.FIXTURES))
 def test_batched_refine_equals_its_row_by_row_calls(name, monkeypatch):
-    # every batch the checks refine: the rgi collars, unrestricted and per
-    # norm ball, and the transfer collar; each check reads its collar once
+    # every batch the checks refine: the unrestricted rgi collar, the
+    # collars of every norm ball as the rungs of one call, and the transfer
+    # collar; each check reads its collar once
     calls = []
     refine = diagnostics._refine
     monkeypatch.setattr(diagnostics, "_refine",
-                        lambda problem, X0, *args: calls.append((X0, *args))
-                        or refine(problem, X0, *args))
+                        lambda problem, X0, levels, norms=(None,), rungs=None:
+                        calls.append((X0, levels, norms, rungs))
+                        or refine(problem, X0, levels, norms, rungs))
     sizes = {"sample_size": 100} if name == "hyperbola_escape" else {}
     prob = fixture_catalog.build(name, **sizes)
     report = existence_report(prob)
     check_transfer_closed(prob)
-    restrictions = [None] + [float(n) for n in report.restricted_rgi]
-    assert [restrict for _, _, restrict in calls[:-1]] == restrictions
+    assert [list(norms) for _, _, norms, _ in calls[:-1]] \
+        == [[None], [float(n) for n in report.restricted_rgi]]
     alone = fixture_catalog.build(name, **sizes)  # a fresh memo for the one-row calls
-    for X0, level, restrict in calls:
-        rows = [refine(alone, X0[i:i + 1], level, restrict)[0] for i in range(len(X0))]
-        assert _bits(refine(prob, X0, level, restrict)) == _bits(rows)
+    for X0, levels, norms, rungs in calls:
+        rungs = np.ones((len(levels), len(X0)), bool) if rungs is None else rungs
+        batch = refine(prob, X0, levels, norms, rungs)
+        for level, norm, rows, results in zip(levels, norms, rungs, batch):
+            alone_rows = [refine(alone, X0[i:i + 1], [level], [norm])[0][0]
+                          for i in np.flatnonzero(rows)]
+            assert _bits(results) == _bits(alone_rows)
 
 
 def _one_point_refinement_minima(problem, x0, restrict_norm):
@@ -248,7 +273,7 @@ def _one_point_refinement_minima(problem, x0, restrict_norm):
     rings = [x0 + diagnostics._probe_offsets(len(x0), float(r))
              for r in step * np.asarray(diagnostics._REFINE_LEVELS)]
     probes = np.concatenate(rings)
-    inside = diagnostics._domain_mask(problem, probes, restrict_norm)
+    [inside] = diagnostics._domain_mask(problem, probes, [restrict_norm])
     ring = np.repeat(np.arange(len(rings)), [len(p) for p in rings])[inside]
     values = diagnostics.scalar_values_at(problem, probes[inside])
     return [min(values[ring == k].tolist()) for k in np.unique(ring)]
@@ -263,9 +288,133 @@ def test_refinement_minima_are_pythons_min_over_each_radius(decay, shifted72, mo
         [pool[zlib.crc32(row.tobytes()) % len(pool)] for row in np.asarray(X)]))
     for prob, restrict in [(decay, None), (decay, 9.95), (shifted72, None), (shifted72, 1.7)]:
         X0 = prob.grid.points
-        for (_, minima), x0 in zip(diagnostics._refine(prob, X0, 0.0, restrict), X0):
+        for (_, minima), x0 in zip(diagnostics._refine(prob, X0, [0.0], [restrict])[0], X0):
             expected = _one_point_refinement_minima(prob, x0, restrict)
             assert [low.hex() for low in minima] == [low.hex() for low in expected]
+
+
+DOCUMENTS = sorted((pathlib.Path(__file__).parent / "documents").glob("*.json"))
+
+
+def _json(verdict) -> str:
+    return json.dumps(verdict, sort_keys=True, default=_json_value)
+
+
+def _rung_problems():
+    """Every fixture, every document under documents/, and the lattice sizes of the
+    benchmark-sized goldens, as (name, build) pairs; build gives a fresh problem."""
+    cases = [(name, lambda name=name: fixture_catalog.build(
+        name, **({"sample_size": 100} if name == "hyperbola_escape" else {})))
+        for name in sorted(fixture_catalog.FIXTURES)]
+    cases += [(path.stem, lambda path=path: build_problem(json.loads(path.read_text())))
+              for path in DOCUMENTS]
+    for name, kwargs, resolution in [("decay_tail", {}, [2001]), ("kinked_interval", {}, [1401]),
+                                     ("shifted_disc", {"samples": 36}, [11, 11])]:
+        doc = fixture_catalog.document(name, **kwargs)
+        doc["domain"]["resolution"] = resolution
+        cases.append((f"{name}@{resolution}", lambda doc=doc: build_problem(doc)))
+    return cases
+
+
+@pytest.mark.parametrize("name, build", _rung_problems())
+def test_each_rgi_rung_is_its_own_restricted_check(name, build):
+    prob = build()
+    report = existence_report(prob)
+    norms = [float(n) for n in report.restricted_rgi]
+    # the report's rungs, and a ladder out of order, with the whole domain
+    # and a ball too small to hold two grid points
+    ladders = [norms, [None, *norms[::-1], 0.01]]
+    for rung, verdict in zip(norms, report.restricted_rgi.values()):
+        assert _json(verdict) == _json(check_regular_global_inf(build(), rung))
+    for ladder in ladders[1:]:
+        for rung, verdict in zip(ladder, diagnostics._regular_global_inf(build(), ladder)):
+            assert _json(verdict) == _json(check_regular_global_inf(build(), rung))
+
+
+@pytest.mark.parametrize("name, build", _rung_problems())
+def test_the_report_evaluates_the_map_points_of_a_check_by_check_loop(name, build):
+    # the plain check, the gap report and one restricted check per norm ball,
+    # in the report's order: the union of their probes, and no other point
+    prob, looped = build(), build()
+    report = existence_report(prob)
+    check_regular_global_inf(looped)
+    check_asymptotic_gap(looped)
+    for n in report.restricted_rgi:
+        check_regular_global_inf(looped, float(n))
+    assert list(prob._cache.get("off_grid_values", {})) \
+        == list(looped._cache.get("off_grid_values", {}))
+
+
+def _two_uncovered_collars():
+    # psi is -5 up to -1.46, -x on [-1.34, 0.84], -1 on [0.96, 1.04] and 10
+    # beyond, with the grid points -1.4 and 0.9 covered on their own: the
+    # unit ball's collar point 0.9 and the 2-ball's collar point -1.4 both
+    # have probes no region covers, and the grid meets -1.4 first
+    regions = [
+        {"where": {"type": "interval", "hi": -1.46}, "cloud": {"points": [[-5.0]]}},
+        {"where": {"type": "eq", "point": [-1.4]}, "cloud": {"points": [[1.4]]}},
+        {"where": {"type": "interval", "lo": -1.34, "hi": 0.84},
+         "cloud": {"type": "affine_point", "matrix": [[-1.0]], "offset": [0.0]}},
+        {"where": {"type": "eq", "point": [0.9]}, "cloud": {"points": [[-0.9]]}},
+        {"where": {"type": "interval", "lo": 0.96, "hi": 1.04}, "cloud": {"points": [[-1.0]]}},
+        {"where": {"type": "interval", "lo": 1.04}, "cloud": {"points": [[10.0]]}},
+    ]
+    return _build({"cone": {"dual_generators": [[1.0]], "q": [1.0]},
+                   "domain": {"box": [[-3.0, 3.0]], "resolution": [61]},
+                   "map": {"kind": "piecewise", "parameters": {"regions": regions}}})
+
+
+def test_rgi_rungs_raise_the_error_of_the_first_rung_that_meets_one():
+    errors = []
+    for rung in (1.0, 2.0):
+        with pytest.raises(ProblemValidationError) as error:
+            check_regular_global_inf(_two_uncovered_collars(), rung)
+        errors.append(str(error.value))
+    assert "x=[0.906" in errors[0] and "x=[-1.393" in errors[1]
+    with pytest.raises(ProblemValidationError) as error:
+        diagnostics._regular_global_inf(_two_uncovered_collars(), [1.0, 2.0])
+    assert str(error.value) == errors[0]
+    with pytest.raises(ProblemValidationError) as error:
+        diagnostics._regular_global_inf(_two_uncovered_collars(), [2.0, 1.0])
+    assert str(error.value) == errors[1]
+
+
+def _colevel_per_height(problem, lams):
+    """colevel_masks as one colevel call per height."""
+    for lam in lams:
+        yield np.isin(np.arange(len(problem.grid)), colevel(problem, float(lam)))
+
+
+@pytest.mark.parametrize("name", ["decay_tail", "kinked_interval", "shifted_disc"])
+def test_transfer_and_coercivity_raise_a_route_disagreement_where_their_loops_did(
+        name, monkeypatch):
+    # the colevel route check reads a field moved far off at a few points:
+    # transfer checks every height of its ladder in order, coercivity stops
+    # at the first bounded set, and each raises where a colevel call per
+    # height would, or gives the same verdict
+    build = lambda: fixture_catalog.build(name, **({"samples": 36} if name == "shifted_disc"
+                                                   else {}))
+    field = scalar_field(build())
+    heights = diagnostics.default_lambda_schedule(build(), 20)
+    rng = np.random.default_rng(3)
+    raised = 0
+    for trial in range(8):
+        values = field.values.copy()
+        values[rng.choice(len(values), 2, replace=False)] += rng.choice([-4.0, 4.0], 2)
+        moved = ScalarField(values, float(values.min()))
+        monkeypatch.setattr(scalarizer, "scalar_field", lambda problem, f=moved: f)
+        for check in (lambda p: check_transfer_closed(p, heights), check_coercivity):
+            outcomes = []
+            for masks in (_colevel_per_height, diagnostics.colevel_masks):
+                with monkeypatch.context() as patch:
+                    patch.setattr(diagnostics, "colevel_masks", masks)
+                    try:
+                        outcomes.append(_json(check(build())))
+                    except InternalConsistencyError as error:
+                        outcomes.append(str(error))
+                        raised += 1
+            assert outcomes[0] == outcomes[1]
+    assert raised > 0
 
 
 def _mirrored(where):
@@ -338,10 +487,15 @@ def test_collar_matches_a_pairwise_chebyshev_scan(fraction):
     for prob in problems:
         pts, steps = prob.grid.points, prob.grid.step_estimate()
         rng = np.random.default_rng(int(100 * fraction))
-        members = np.flatnonzero(rng.random(len(pts)) < fraction)
-        gaps = np.max(np.abs(pts[:, None, :] - pts[None, members, :]) / steps, axis=2)
-        expected = [i for i in range(len(pts)) if i not in members and (gaps[i] <= 1.01).any()]
-        np.testing.assert_array_equal(diagnostics._collar(prob, members), expected)
+        # a stack of member masks, as the rungs of the regular-global-inf check
+        stack = rng.random((3, len(pts))) < [[fraction], [fraction / 2], [0.0]]
+        for mask, collar in zip(stack, diagnostics._collar(prob, stack)):
+            members = np.flatnonzero(mask)
+            gaps = np.max(np.abs(pts[:, None, :] - pts[None, members, :]) / steps, axis=2)
+            expected = [i for i in range(len(pts))
+                        if i not in members and (gaps[i] <= 1.01).any()]
+            np.testing.assert_array_equal(np.flatnonzero(collar), expected)
+            np.testing.assert_array_equal(diagnostics._collar(prob, mask), collar)
 
 
 def test_coercivity_verdicts(shifted72, decay):

@@ -74,6 +74,7 @@ DIRECTIONS = {
 # lattice_checks ops: golden name -> (fixture, its arguments, resolution)
 BENCHMARK_SIZED = {
     "decay_tail_2001": ("decay_tail", {}, [2001]),
+    "kinked_interval_1401": ("kinked_interval", {}, [1401]),
     "shifted_disc_11x11": ("shifted_disc", {"samples": 36}, [11, 11]),
 }
 

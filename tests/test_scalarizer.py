@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from setopt import (ConeSpec, PointCloudSet, ProblemValidationError, SetValuedProblem, colevel,
-                    colevel_points, contains, evaluate, global_inf, scalar_field, scalar_value,
-                    strictly_lower_less)
+from setopt import (ConeSpec, DomainGrid, InternalConsistencyError, MapModel, PointCloudSet,
+                    ProblemValidationError, SetValuedProblem, colevel, colevel_points, contains,
+                    evaluate, global_inf, scalar_field, scalar_value, strictly_lower_less)
 from setopt import fixtures as fixture_catalog
+from setopt import scalarizer
+from setopt.scalarizer import ScalarField, colevel_masks
 from setopt.cone import gerstewitz_many
 from setopt.sampling import random_problem
 
@@ -154,3 +156,133 @@ def test_route_agreement_on_random_problems():
 
 def test_scalar_field_cached(tradeoff):
     assert scalar_field(tradeoff) is scalar_field(tradeoff)
+
+
+def _height_by_height(problem, values, lams):
+    """Route two's set at each height until the routes first disagree outside the band, and
+    the message of that disagreement (None if there is none): `colevel` one height at a
+    time, its relation route taken over the whole store for every height."""
+    cone, tie = problem.cone, problem.tolerances.tie_tol
+    sets = []
+    for lam in lams:
+        by_field = values <= lam + tie
+        with np.errstate(over="ignore"):
+            probe = lam * cone._unit_scores
+        above = np.all(problem.cloud_scores - probe > cone.cone_tol, axis=1)
+        by_relation = ~np.logical_and.reduceat(above, problem.cloud_starts)
+        for i in np.flatnonzero(by_field != by_relation):
+            if abs(values[i] - lam) > 2.0 * tie + cone._tau:
+                return sets, (f"colevel routes disagree at grid index {i}: "
+                              f"value {values[i]} vs threshold {float(lam)}")
+        sets.append(np.flatnonzero(by_field))
+    return sets, None
+
+
+def _drawn(problem, lams):
+    """The sets colevel_masks yields, and the message it raises (None if it does not)."""
+    sets = []
+    try:
+        for mask in colevel_masks(problem, lams):
+            sets.append(np.flatnonzero(mask))
+    except InternalConsistencyError as error:
+        return sets, str(error)
+    return sets, None
+
+
+def _assert_same(got, expected):
+    assert got[1] == expected[1]
+    assert [a.tolist() for a in got[0]] == [b.tolist() for b in expected[0]]
+
+
+def _ladders(problem, rng):
+    """Heights around the field, shuffled, with repeats, one below the infimum, one above
+    the maximum and some on grid values, where a route may sit on its threshold."""
+    values = scalar_field(problem).values
+    m, top = float(values.min()), float(values.max())
+    ladder = m + (top - m + 1.0) * np.power(0.5, np.arange(20))
+    on_grid = rng.choice(values, 5)
+    return [ladder, rng.permutation(np.concatenate([ladder, ladder[:4], on_grid,
+                                                    [m - 1.0, top + 1.0]])), on_grid[:1]]
+
+
+@pytest.mark.parametrize("name", sorted(fixture_catalog.FIXTURES))
+def test_each_colevel_mask_is_the_colevel_set_at_its_height(name):
+    prob = fixture_catalog.build(name, **({"sample_size": 100} if name == "hyperbola_escape"
+                                         else {}))
+    values = scalar_field(prob).values
+    for lams in _ladders(prob, np.random.default_rng(len(name))):
+        got = _drawn(prob, lams)
+        _assert_same(got, _height_by_height(prob, values, lams))
+        assert got[1] is None and len(got[0]) == len(lams)
+        for lam, members in zip(lams, got[0]):
+            np.testing.assert_array_equal(members, colevel(prob, lam))
+
+
+def test_colevel_masks_of_random_problems_match_the_height_by_height_loop():
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        prob = random_problem(rng)
+        for lams in _ladders(prob, rng):
+            _assert_same(_drawn(prob, lams),
+                         _height_by_height(prob, scalar_field(prob).values, lams))
+
+
+@pytest.mark.parametrize("name", ["decay_tail", "kinked_interval", "shifted_disc", "wedge_strip"])
+def test_a_route_disagreement_raises_at_the_height_a_loop_meets_it(name, monkeypatch):
+    # route two reads a field moved up at some points and down at others, far
+    # outside the band, while route one reads the clouds: the first height in
+    # the given order whose sets then differ raises, at its least grid index
+    prob = fixture_catalog.build(name, **({"samples": 36} if name == "shifted_disc" else {}))
+    field = scalar_field(prob)
+    rng = np.random.default_rng(len(name))
+    raised = 0
+    for trial in range(12):
+        values = field.values.copy()
+        moved = rng.choice(len(values), 1 + trial % 3, replace=False)
+        values[moved] += rng.choice([-3.0, 3.0], len(moved)) * (trial % 4 != 3)
+        monkeypatch.setattr(scalarizer, "scalar_field",
+                            lambda problem, f=ScalarField(values, float(values.min())): f)
+        for lams in _ladders(prob, rng):
+            expected = _height_by_height(prob, values, lams)
+            _assert_same(_drawn(prob, lams), expected)
+            raised += expected[1] is not None
+    assert raised > 0
+
+
+def test_route_one_decides_each_height_by_the_relation_itself(monkeypatch):
+    # with a cone_tol near the scores' size, <w, b> - cone_tol rounds, so a
+    # rank read off it alone is a few probes off when the heights crowd
+    # around it.  Route two is made to keep the one grid point at every
+    # height, so route one raises at the first height that drops it: with
+    # the heights in decreasing order, the height just below the one where
+    # the relation itself first keeps it
+    rng = np.random.default_rng(4)
+    keep_all = ScalarField(np.full(1, -1e300), -1e300)
+    monkeypatch.setattr(scalarizer, "scalar_field", lambda problem: keep_all)
+    raised = 0
+    for _ in range(60):
+        tol = float(rng.choice([0.19, 0.53, 1.14, 1.46])) * (1.0 + rng.random())
+        m = int(rng.integers(1, 3))
+        cloud = rng.choice([0.7, 1.0, 3.0], (int(rng.integers(1, 4)), m))
+        prob = SetValuedProblem(
+            grid=DomainGrid(np.zeros((1, 1))),
+            map_model=MapModel(kind="table", params={"points": [[0.0]],
+                                                     "clouds": [cloud.tolist()]}),
+            cone=ConeSpec.orthant(m, [4.0] * m, cone_tol=tol))
+        edge = (float(cloud.min()) - tol) / 4.0
+        heights = edge + np.arange(6, -7, -1) * np.spacing(edge)
+        for lams in (heights, rng.permutation(heights)):
+            expected = _height_by_height(prob, keep_all.values, lams)
+            _assert_same(_drawn(prob, lams), expected)
+            raised += expected[1] is not None
+    assert raised > 0
+
+
+def test_colevel_masks_raise_at_a_non_finite_height_once_reached(tradeoff):
+    sets = []
+    with pytest.raises(ProblemValidationError, match="lambda must be finite, got nan"):
+        for mask in colevel_masks(tradeoff, [2.5, 3.0, np.nan, 1.0]):
+            sets.append(np.flatnonzero(mask))
+    assert len(sets) == 2
+    np.testing.assert_array_equal(sets[1], colevel(tradeoff, 3.0))
+    assert list(colevel_masks(tradeoff, [])) == []
